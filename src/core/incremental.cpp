@@ -104,6 +104,7 @@ IncrementalAllocator::IncrementalAllocator(const Scenario& scenario,
       state_(scenario),
       allocation_(scenario.num_ues()),
       active_(scenario.num_ues(), false),
+      waiting_((scenario.num_ues() + 63) / 64, 0),
       clamped_(scenario.num_bss(), false) {}
 
 std::optional<BsId> IncrementalAllocator::admit(UeId u) {
@@ -150,10 +151,13 @@ std::optional<BsId> IncrementalAllocator::place(UeId u) {
 
   obs::TraceRecorder* const rec = obs::recorder();
   if (!best) {
-    // B_u exhausted (or empty): remote cloud, Alg. 1 line 10.
+    // B_u exhausted (or empty): remote cloud, Alg. 1 line 10. Only a slot
+    // with candidates waits for the readmit sweep.
     allocation_.assign_cloud(u);
+    if (!cands.empty()) set_waiting(u);
     return std::nullopt;
   }
+  clear_waiting(u);
   state_.commit(u, *best);
   allocation_.assign(u, *best);
   live_profit_ += scenario_->pair_profit(u, *best);
@@ -180,6 +184,7 @@ void IncrementalAllocator::remove(UeId u) {
   DMRA_REQUIRE_MSG(active_[u.idx()], "remove on an inactive slot");
   active_[u.idx()] = false;
   --num_active_;
+  clear_waiting(u);
   const auto bs = allocation_.bs_of(u);
   if (!bs) return;  // was cloud-forwarded; nothing held
   live_profit_ -= scenario_->pair_profit(u, *bs);
@@ -198,6 +203,7 @@ std::size_t IncrementalAllocator::crash_bs(BsId i, std::vector<UeId>& orphans) {
     if (!bs || *bs != i) continue;
     live_profit_ -= scenario_->pair_profit(u, i);
     allocation_.assign_cloud(u);
+    set_waiting(u);  // served on i, so i is among its candidates
     orphans.push_back(u);
     ++evicted;
   }

@@ -12,6 +12,7 @@
 // Result: the same matching logic, a fraction of the handovers.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -92,11 +93,22 @@ class IncrementalAllocator {
   /// candidate can carry it (cloud-forwarded, still active).
   std::optional<BsId> admit(UeId u);
 
-  /// Retry placement for an *active, cloud-forwarded* slot — the readmit
-  /// sweep and crash-recovery drain of sim/churn: capacity may have freed
-  /// or recovered since the slot was last decided. Same decision rule as
+  /// Retry placement for an *active, cloud-forwarded* slot — the
+  /// crash-recovery drain of sim/churn: capacity may have freed or
+  /// recovered since the slot was last decided. Same decision rule as
   /// admit(); returns the BS if it now fits, nullopt to stay at the cloud.
   std::optional<BsId> reattempt(UeId u);
+
+  /// The readmit sweep of sim/churn: retry placement, with reattempt()'s
+  /// rule, for every *waiting* slot (active, cloud-forwarded, at least one
+  /// candidate) in ascending slot order, calling on_placed(UeId, BsId) for
+  /// each one that now fits. Visits exactly the slots a scan of the whole
+  /// universe with that predicate would, in the same order, but costs
+  /// O(universe / 64 + waiting): the waiting set is a bitset updated
+  /// wherever the predicate can change (place, remove, crash_bs).
+  /// on_placed must not call back into the allocator.
+  template <typename OnPlaced>
+  void readmit_waiting(OnPlaced&& on_placed);
 
   /// Remove active slot u, releasing its resources (departure).
   void remove(UeId u);
@@ -141,15 +153,38 @@ class IncrementalAllocator {
   /// candidates, commit on success, cloud otherwise.
   std::optional<BsId> place(UeId u);
 
+  // dmra::hotpath begin(waiting-set)
+  void set_waiting(UeId u) { waiting_[u.idx() / 64] |= std::uint64_t{1} << (u.idx() % 64); }
+  void clear_waiting(UeId u) {
+    waiting_[u.idx() / 64] &= ~(std::uint64_t{1} << (u.idx() % 64));
+  }
+  // dmra::hotpath end(waiting-set)
+
   const Scenario* scenario_;
   IncrementalConfig config_;
   ResourceState state_;
   Allocation allocation_;
   std::vector<bool> active_;
+  /// Bit per slot, sized at construction: active ∧ cloud ∧ candidates.
+  std::vector<std::uint64_t> waiting_;
   std::vector<bool> clamped_;  ///< per BS: capacity currently clamped
   std::size_t num_active_ = 0;
   std::size_t clamped_bss_ = 0;
   double live_profit_ = 0.0;
 };
+
+template <typename OnPlaced>
+void IncrementalAllocator::readmit_waiting(OnPlaced&& on_placed) {
+  // dmra::hotpath begin(readmit-walk)
+  for (std::size_t w = 0; w < waiting_.size(); ++w) {
+    // A placement clears only the bit being visited, so walking a copy of
+    // the word sees every slot still waiting when its turn comes.
+    for (std::uint64_t bits = waiting_[w]; bits != 0; bits &= bits - 1) {
+      const UeId u{static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits))};
+      if (const std::optional<BsId> bs = place(u)) on_placed(u, *bs);
+    }
+  }
+  // dmra::hotpath end(readmit-walk)
+}
 
 }  // namespace dmra

@@ -285,23 +285,27 @@ std::string FlightRecorder::postmortem_json() const {
   doc["flight"] = std::move(stats);
 
   // The frozen black box when triggered, the live rings otherwise.
+  // emplace_back constructs each JsonValue in place: the push_back form
+  // moves through a variant temporary that gcc 12 (RelWithDebInfo) flags
+  // with a spurious -Wmaybe-uninitialized (same fix as obs/manifest.cpp).
   JsonArray events;
   JsonArray rounds;
   if (triggered_) {
     for (std::size_t i = 0; i < frozen_event_count_; ++i)
-      events.push_back(event_json(frozen_events_[i]));
+      events.emplace_back(event_json(frozen_events_[i]));
     for (std::size_t i = 0; i < frozen_round_count_; ++i)
-      rounds.push_back(round_json(frozen_rounds_[i]));
+      rounds.emplace_back(round_json(frozen_rounds_[i]));
   } else {
-    for (const TraceEvent& e : ring_events()) events.push_back(event_json(e));
-    for (const RoundRow& r : ring_rounds()) rounds.push_back(round_json(r));
+    for (const TraceEvent& e : ring_events()) events.emplace_back(event_json(e));
+    for (const RoundRow& r : ring_rounds()) rounds.emplace_back(round_json(r));
   }
   doc["events"] = std::move(events);
   doc["rounds"] = std::move(rounds);
 
   doc["metrics"] = metrics_.deterministic_json();
   JsonArray windows;
-  for (const MetricsWindow& w : metrics_.collect_windows()) windows.push_back(window_json(w));
+  for (const MetricsWindow& w : metrics_.collect_windows())
+    windows.emplace_back(window_json(w));
   doc["windows"] = std::move(windows);
 
   return JsonValue(std::move(doc)).dump(2) + "\n";

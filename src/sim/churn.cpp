@@ -516,26 +516,21 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
       backlog_head = 0;
     }
 
-    // 4. Periodic readmit sweep over every cloud dweller with candidates.
+    // 4. Periodic readmit sweep over every cloud dweller with candidates
+    //    (the allocator's waiting set, ascending).
     if (config.readmit_every > 0 && (idx + 1) % config.readmit_every == 0) {
-      for (std::size_t si = 0; si < universe.num_ues(); ++si) {
-        const UeId u{static_cast<std::uint32_t>(si)};
-        if (!alloc.active(u) || !alloc.allocation().is_cloud(u)) continue;
-        if (universe.coverage_count(u) == 0) continue;
-        const auto placed = alloc.reattempt(u);
-        if (placed) {
-          ++stats.readmitted;
-          --cloud_active;
-          if (fr != nullptr) fr->metrics().add_counter("churn.readmitted");
-          log += "e=";
-          append_num(log, idx);
-          log += " readmit slot=";
-          append_num(log, static_cast<std::uint64_t>(u.value));
-          log += " -> ";
-          append_bs(placed);
-          log += '\n';
-        }
-      }
+      alloc.readmit_waiting([&](UeId u, BsId placed) {
+        ++stats.readmitted;
+        --cloud_active;
+        if (fr != nullptr) fr->metrics().add_counter("churn.readmitted");
+        log += "e=";
+        append_num(log, idx);
+        log += " readmit slot=";
+        append_num(log, static_cast<std::uint64_t>(u.value));
+        log += " -> ";
+        append_bs(placed);
+        log += '\n';
+      });
     }
 
     // 5. Periodic from-scratch baseline: what would a fresh solve_dmra

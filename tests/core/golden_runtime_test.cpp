@@ -18,6 +18,11 @@
 //    bus-level mechanisms, pinned by BusFaultStreamPinned), recovery
 //    counters included, so the fault-path draw order is pinned too.
 //
+// ServingByteIdenticalAcrossSeeds adds a serving probe per seed: one
+// run_churn replay (over capacity, waypoint moves, one crash/recover,
+// short readmit period), pinning the event-log bytes and the readmission
+// outcome, so a rework of the serving loop is held to the same bar.
+//
 // Regenerating (only legitimate after an intentional semantic change):
 //   DMRA_GOLDEN_REGEN=1 ./build/tests/core_test
 //     --gtest_filter='GoldenRuntime.*' 2>/dev/null
@@ -29,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <string_view>
 
 #include <vector>
@@ -39,6 +45,7 @@
 #include "core/solver.hpp"
 #include "mec/allocation.hpp"
 #include "obs/recorder.hpp"
+#include "sim/churn.hpp"
 #include "sim/faults.hpp"
 #include "workload/generator.hpp"
 
@@ -210,6 +217,55 @@ constexpr GoldenRow kGolden[kSeeds] = {
      82ull, 50202ull, 3903ull, 0ull, 0ull, 19ull, 0ull, 0x40abd00def528e65ull},
 };
 
+// Serving probe: run_churn on a 10-BS deployment holding about 1.6x the
+// UEs it can serve (a third of the actives wait at the cloud), so the
+// readmit sweep has dwellers to place, with one BS crash that orphans
+// served UEs mid-stream. Kept small: the sanitizer CI job runs it with
+// DMRA_AUDIT=1, which audits the whole ledger after every event.
+struct GoldenServingRow {
+  std::uint64_t seed;
+  std::uint64_t log_hash;  ///< FNV-1a of ChurnResult::event_log
+  std::uint64_t readmitted;
+  std::uint64_t orphaned;
+  std::uint64_t final_cloud;
+  std::uint64_t final_profit_bits;
+};
+
+ChurnResult run_serving_probe(std::uint64_t seed) {
+  ChurnConfig cfg;
+  cfg.deployment.bss_per_sp = 2;
+  cfg.arrival_rate_hz = 6.0;
+  cfg.mean_dwell_s = 100.0;
+  cfg.prefill = cfg.steady_state_target();  // counts toward the horizon
+  cfg.mean_move_interval_s = 30.0;
+  cfg.horizon_events = cfg.prefill + 900;
+  cfg.readmit_every = 16;
+  cfg.resolve_every = 300;
+  cfg.seed = seed;
+  FaultSpec faults;
+  faults.crashes = 1;
+  faults.crash_round = cfg.prefill + 300;  // event index on the serving timeline
+  faults.down_rounds = 200;
+  faults.seed = seed;
+  cfg.faults = faults;
+  return run_churn(cfg);
+}
+
+// Generated from the serving loop whose readmit sweep scanned every slot
+// of the universe; the waiting-set walk must reproduce it byte for byte.
+constexpr GoldenServingRow kGoldenServing[kSeeds] = {
+    {1ull, 0x98298d3e21b6bc3eull, 99ull, 38ull, 209ull, 0x40adb6538f6cac4dull},
+    {2ull, 0xe425883ee16cd86bull, 90ull, 36ull, 250ull, 0x40b0750cecd59607ull},
+    {3ull, 0xa11c7721afd34e7cull, 132ull, 36ull, 186ull, 0x40b05ee0e76fe58full},
+    {4ull, 0x9ad43659ba35a932ull, 95ull, 37ull, 258ull, 0x40ae61043b5d3835ull},
+    {5ull, 0x8a6b4134e53b3a04ull, 115ull, 36ull, 223ull, 0x40afc625544cd2deull},
+    {6ull, 0xa7ecb13922e91944ull, 110ull, 39ull, 224ull, 0x40af149b855c64fcull},
+    {7ull, 0x6918c4fd3e5577adull, 118ull, 33ull, 213ull, 0x40adb3c046102229ull},
+    {8ull, 0xf47dc31b908ec9c6ull, 110ull, 37ull, 247ull, 0x40afc0a5d3a6822full},
+    {9ull, 0x5d88ffdcaa91adf9ull, 106ull, 38ull, 235ull, 0x40af7c22424c9ac6ull},
+    {10ull, 0xc32150c0d2a74365ull, 119ull, 35ull, 201ull, 0x40afac94e56cecc1ull},
+};
+
 // See BusFaultStreamPinned below; regenerated alongside kGolden.
 constexpr std::uint64_t kBusFaultStreamHash = 0x4fdb0e93353ec4adull;
 
@@ -242,6 +298,41 @@ TEST(GoldenRuntime, ByteIdenticalAcrossSeeds) {
     EXPECT_EQ(got.flt_cloud_fallbacks, want.flt_cloud_fallbacks);
     EXPECT_EQ(got.flt_profit_bits, want.flt_profit_bits);
   }
+}
+
+TEST(GoldenRuntime, ServingByteIdenticalAcrossSeeds) {
+  const bool regen = std::getenv("DMRA_GOLDEN_REGEN") != nullptr;
+  for (const GoldenServingRow& want : kGoldenServing) {
+    const std::uint64_t seed = want.seed;
+    const ChurnResult r = run_serving_probe(seed);
+    const GoldenServingRow got{seed,
+                               fnv1a(r.event_log),
+                               r.stats.readmitted,
+                               r.stats.orphaned_ues,
+                               r.stats.final_cloud,
+                               std::bit_cast<std::uint64_t>(r.stats.final_profit)};
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // The probe must exercise what it pins: sweep readmissions and crash
+    // orphans on every seed.
+    EXPECT_NE(r.event_log.find(" readmit slot="), std::string::npos);
+    EXPECT_GT(got.orphaned, 0u);
+    if (regen) {
+      std::printf("    {%lluull, 0x%llxull, %lluull, %lluull, %lluull, 0x%llxull},\n",
+                  static_cast<unsigned long long>(got.seed),
+                  static_cast<unsigned long long>(got.log_hash),
+                  static_cast<unsigned long long>(got.readmitted),
+                  static_cast<unsigned long long>(got.orphaned),
+                  static_cast<unsigned long long>(got.final_cloud),
+                  static_cast<unsigned long long>(got.final_profit_bits));
+      continue;
+    }
+    EXPECT_EQ(got.log_hash, want.log_hash);
+    EXPECT_EQ(got.readmitted, want.readmitted);
+    EXPECT_EQ(got.orphaned, want.orphaned);
+    EXPECT_EQ(got.final_cloud, want.final_cloud);
+    EXPECT_EQ(got.final_profit_bits, want.final_profit_bits);
+  }
+  if (regen) GTEST_SKIP() << "regen mode: rows printed to stdout";
 }
 
 // Bus-level pin of the full fault draw order (drop → duplicate → delay)

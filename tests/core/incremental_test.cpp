@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "../test_util.hpp"
 #include "core/dmra_allocator.hpp"
 #include "mobility/handover.hpp"
 #include "sim/feasibility.hpp"
 #include "util/require.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 
 namespace dmra {
@@ -291,6 +298,153 @@ TEST(IncrementalAllocator, DegradeScalesRemainingAndRecoverRecounts) {
   for (std::size_t j = 0; j < s.num_services(); ++j) {
     const ServiceId sj{static_cast<std::uint32_t>(j)};
     EXPECT_EQ(inc.state().remaining_crus(target, sj), recount.remaining_crus(target, sj));
+  }
+}
+
+// ---- readmit_waiting: the waiting-set walk against the full scan ----------
+
+using Placements = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+// The readmit sweep the waiting-set walk replaced, kept as the reference:
+// every slot of the universe ascending, active ∧ cloud ∧ candidates →
+// reattempt.
+Placements brute_force_readmit(IncrementalAllocator& inc) {
+  Placements placed;
+  const Scenario& s = inc.scenario();
+  for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
+    const UeId u{static_cast<std::uint32_t>(ui)};
+    if (!inc.active(u) || !inc.allocation().is_cloud(u)) continue;
+    if (s.coverage_count(u) == 0) continue;
+    if (const auto bs = inc.reattempt(u)) placed.emplace_back(u.value, bs->value);
+  }
+  return placed;
+}
+
+Placements walk_readmit(IncrementalAllocator& inc) {
+  Placements placed;
+  inc.readmit_waiting([&](UeId u, BsId bs) { placed.emplace_back(u.value, bs.value); });
+  return placed;
+}
+
+testing::AssertionResult same_state(const IncrementalAllocator& a,
+                                    const IncrementalAllocator& b) {
+  if (a.num_active() != b.num_active()) return testing::AssertionFailure() << "active counts";
+  if (!(a.allocation() == b.allocation())) return testing::AssertionFailure() << "allocations";
+  if (a.live_profit() != b.live_profit()) return testing::AssertionFailure() << "live_profit";
+  const Scenario& s = a.scenario();
+  for (const BaseStation& bs : s.bss()) {
+    if (a.state().remaining_rrbs(bs.id) != b.state().remaining_rrbs(bs.id))
+      return testing::AssertionFailure() << "RRB ledger of BS " << bs.id.value;
+    for (std::size_t j = 0; j < s.num_services(); ++j) {
+      const ServiceId sj{static_cast<std::uint32_t>(j)};
+      if (a.state().remaining_crus(bs.id, sj) != b.state().remaining_crus(bs.id, sj))
+        return testing::AssertionFailure() << "CRU ledger of BS " << bs.id.value;
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+// First slot at or after a random start (wrapping) that satisfies pred.
+template <typename Pred>
+std::optional<UeId> find_slot(Rng& rng, std::size_t n, Pred pred) {
+  const std::size_t start = rng.index(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const UeId u{static_cast<std::uint32_t>((start + k) % n)};
+    if (pred(u)) return u;
+  }
+  return std::nullopt;
+}
+
+// Two allocators take one seeded lifecycle stream; one readmits with the
+// waiting-set walk, the other with the full scan. Every decision, ledger
+// and profit bit must agree after every op. The default deployment serves
+// about 1000 UEs and 1600 of the 2400 slots start active, so cloud
+// dwellers exist for the passes to place.
+TEST(IncrementalAllocator, ReadmitWalkEqualsFullScanOverLifecycleStream) {
+  ScenarioConfig cfg;
+  cfg.num_ues = 2400;
+  for (const std::uint64_t seed : {3ull, 5ull, 8ull, 13ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Scenario s = generate_scenario(cfg, seed);
+    const std::size_t n = s.num_ues();
+    IncrementalAllocator walk(s);
+    IncrementalAllocator scan(s);
+    std::vector<bool> clamped(s.num_bss(), false);
+    Rng rng("readmit-walk-contract", seed);
+
+    const auto waiting = [&](UeId u) {
+      return scan.active(u) && scan.allocation().is_cloud(u) && s.coverage_count(u) > 0;
+    };
+    const auto both = [&](auto&& op) {
+      op(walk);
+      op(scan);
+    };
+    std::size_t readmitted = 0, evicted = 0, clamped_removes = 0;
+    const auto readmit = [&](std::size_t step) {
+      const Placements a = walk_readmit(walk);
+      const Placements b = brute_force_readmit(scan);
+      EXPECT_EQ(a, b) << "readmit pass at step " << step;
+      readmitted += a.size();
+    };
+
+    for (std::size_t ui = 0; ui < 1600; ++ui)
+      both([&](IncrementalAllocator& inc) { inc.admit(UeId{static_cast<std::uint32_t>(ui)}); });
+    for (std::size_t step = 0; step < 2500; ++step) {
+      const std::size_t op = rng.index(100);
+      if (op < 40) {  // arrival or departure of a random slot
+        const UeId u{static_cast<std::uint32_t>(rng.index(n))};
+        if (scan.active(u))
+          both([&](IncrementalAllocator& inc) { inc.remove(u); });
+        else
+          both([&](IncrementalAllocator& inc) { inc.admit(u); });
+      } else if (op < 50) {  // departure of a waiting slot
+        if (const auto u = find_slot(rng, n, waiting))
+          both([&](IncrementalAllocator& inc) { inc.remove(*u); });
+      } else if (op < 55) {  // departure from a clamped BS
+        const auto u = find_slot(rng, n, [&](UeId v) {
+          const auto bs = scan.allocation().bs_of(v);
+          return bs && clamped[bs->idx()];
+        });
+        if (u) {
+          both([&](IncrementalAllocator& inc) { inc.remove(*u); });
+          ++clamped_removes;
+        }
+      } else if (op < 60) {  // crash, sometimes swept right after
+        const BsId i{static_cast<std::uint32_t>(rng.index(s.num_bss()))};
+        std::vector<UeId> orphans_walk, orphans_scan;
+        evicted += walk.crash_bs(i, orphans_walk);
+        scan.crash_bs(i, orphans_scan);
+        EXPECT_EQ(orphans_walk, orphans_scan);
+        clamped[i.idx()] = true;
+        if (rng.bernoulli(0.5)) readmit(step);
+      } else if (op < 64) {  // degradation
+        const BsId i{static_cast<std::uint32_t>(rng.index(s.num_bss()))};
+        both([&](IncrementalAllocator& inc) { inc.degrade_bs(i, 0.5, 0.5); });
+        clamped[i.idx()] = true;
+      } else if (op < 70) {  // recovery of a clamped BS
+        const std::size_t start = rng.index(s.num_bss());
+        for (std::size_t k = 0; k < s.num_bss(); ++k) {
+          const BsId i{static_cast<std::uint32_t>((start + k) % s.num_bss())};
+          if (!clamped[i.idx()]) continue;
+          both([&](IncrementalAllocator& inc) { inc.recover_bs(i); });
+          clamped[i.idx()] = false;
+          break;
+        }
+      } else if (op < 80) {  // single retry, as the crash backlog drains
+        if (const auto u = find_slot(rng, n, waiting)) {
+          EXPECT_EQ(walk.reattempt(*u), scan.reattempt(*u)) << "step " << step;
+        }
+      } else {
+        readmit(step);
+      }
+      ASSERT_TRUE(same_state(walk, scan)) << "after op " << op << " at step " << step;
+    }
+    // The stream exercised what it pins.
+    EXPECT_GT(readmitted, 0u);
+    EXPECT_GT(evicted, 0u);
+    EXPECT_GT(clamped_removes, 0u);
+    EXPECT_GT(scan.num_active() - scan.allocation().num_served(), 0u);
+    EXPECT_NEAR(walk.live_profit(), total_profit(s, walk.allocation()), 1e-6);
   }
 }
 

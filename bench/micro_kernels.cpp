@@ -1,5 +1,5 @@
 // M2: kernel microbenchmarks — the radio math, preference evaluation,
-// BS selection, and the generic matching mechanisms.
+// and BS selection.
 
 #include <benchmark/benchmark.h>
 
@@ -107,41 +107,5 @@ void BM_BusSendDeliver(benchmark::State& state) {
                           static_cast<std::int64_t>(total));
 }
 BENCHMARK(BM_BusSendDeliver)->Arg(10000)->Arg(100000)->Arg(1000000);
-
-dmra::PreferenceLists random_prefs(std::size_t n, std::size_t m, dmra::Rng& rng) {
-  dmra::PreferenceLists prefs(n);
-  for (auto& list : prefs) {
-    list.resize(m);
-    for (std::size_t i = 0; i < m; ++i) list[i] = i;
-    rng.shuffle(list);
-  }
-  return prefs;
-}
-
-void BM_StableMarriage(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  dmra::Rng rng("bench-sm", 11);
-  const auto pp = random_prefs(n, n, rng);
-  const auto ap = random_prefs(n, n, rng);
-  for (auto _ : state) {
-    const dmra::Matching m = dmra::stable_marriage(pp, ap);
-    benchmark::DoNotOptimize(m.proposer_to_acceptor.size());
-  }
-}
-BENCHMARK(BM_StableMarriage)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_CollegeAdmissions(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t colleges = n / 16 + 1;
-  dmra::Rng rng("bench-ca", 13);
-  const auto pp = random_prefs(n, colleges, rng);
-  const auto ap = random_prefs(colleges, n, rng);
-  const std::vector<std::size_t> caps(colleges, 16);
-  for (auto _ : state) {
-    const dmra::ManyToOneMatching m = dmra::college_admissions(pp, ap, caps);
-    benchmark::DoNotOptimize(m.proposer_to_acceptor.size());
-  }
-}
-BENCHMARK(BM_CollegeAdmissions)->Arg(256)->Arg(1024);
 
 }  // namespace

@@ -3,14 +3,17 @@
 // exceeds the documented bound.
 //
 //   ./build/bench/shard_smoke [--ues N] [--shards K] [--seed S] [--max-gap G]
+//                             [--jobs J] [--trace F] [--round-csv F] [--postmortem F]
 //
 // Prints a one-line verdict with both profits, the relative gap, and
 // the shard/boundary accounting; exits 1 when the gap exceeds
 // --max-gap (a fraction: 0.05 = sharding may cost at most 5% of the
 // oracle's profit), or when the sharded allocation is infeasible.
-// CI runs this at 2 and 4 shards (see .github/workflows/ci.yml); the
-// quality contract it enforces is documented in docs/PERFORMANCE.md
-// and pinned at finer grain by tests/core/sharded_test.cpp.
+// CI runs this at 2 and 4 shards (see .github/workflows/ci.yml), and
+// once more traced at --jobs=1 and --jobs=4 to prove the exports are
+// byte-identical; the quality contract it enforces is documented in
+// docs/PERFORMANCE.md and pinned at finer grain by
+// tests/core/sharded_test.cpp.
 
 // Same PR105593-family false positive documented in mec/scenario_io.cpp:
 // GCC 12's -Wmaybe-uninitialized flags moved-from JsonValue temporaries.
@@ -31,6 +34,7 @@ int main(int argc, char** argv) {
   cli.add_flag("max-gap", "0.05",
                "largest tolerated relative profit gap vs the oracle");
   dmra_bench::add_jobs_flag(cli);
+  dmra_bench::add_obs_flags(cli);
   std::string error;
   if (!cli.parse(argc, argv, &error)) {
     std::cerr << error << "\n" << cli.help_text(argv[0]);
@@ -44,16 +48,20 @@ int main(int argc, char** argv) {
   const std::size_t shards = static_cast<std::size_t>(cli.get_int("shards"));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const double max_gap = cli.get_double("max-gap");
+  dmra_bench::ObsSession obs_session(cli, argv[0]);
+  const std::size_t jobs = dmra_bench::jobs_from(cli);
 
   dmra::ScenarioConfig cfg = dmra_bench::paper_config();
   cfg.num_ues = ues;
+  obs_session.describe_scenario(cfg);
+  obs_session.describe_run({seed}, jobs);
   const dmra::Scenario scenario = dmra::generate_scenario(cfg, seed);
 
   const dmra::DecentralizedResult oracle = dmra::run_decentralized_dmra(scenario);
   const double oracle_profit = dmra::total_profit(scenario, oracle.dmra.allocation);
 
   const dmra::ShardedResult sharded = dmra::run_sharded_dmra(
-      scenario, {}, {.num_shards = shards, .jobs = dmra_bench::jobs_from(cli)});
+      scenario, {}, {.num_shards = shards, .jobs = jobs});
   const double profit = dmra::total_profit(scenario, sharded.dmra.allocation);
 
   const dmra::FeasibilityReport feasibility =

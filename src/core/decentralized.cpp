@@ -17,26 +17,133 @@ namespace dmra {
 
 namespace {
 
-using runtime_detail::Bus;
-using runtime_detail::MsgDecision;
-using runtime_detail::MsgOffloadRequest;
-using runtime_detail::MsgPropose;
-using runtime_detail::MsgResourceUpdate;
-using runtime_detail::SnapshotRing;
-using runtime_detail::stable_sort_by_ue;
+// ---- Resource snapshots ----------------------------------------------------
+
+/// Bounded ring of the resource levels BSs have broadcast. A broadcast
+/// publishes ONE snapshot and fans out a {BsId, index} message to every
+/// UE in the BS's audience, so the per-round messaging cost is O(audience)
+/// trivially-copyable envelopes instead of O(audience) heap-allocated
+/// CRU vectors. Indices are monotonically increasing, so they double as
+/// the epoch stamp: a UE slot holding a larger index is strictly newer.
+///
+/// UEs copy the values they care about at ingest (see the view arrays in
+/// run_scope), so a snapshot only has to outlive the bus transit of the
+/// broadcasts that reference it — a handful of rounds even
+/// under maximal delay faults. The ring is sized for that window once at
+/// construction and publish() is thereafter allocation-free; every read
+/// revalidates its stamp so an undersized ring is a loud contract
+/// violation, never a silently stale view.
+class SnapshotRing {
+ public:
+  SnapshotRing(std::size_t num_services, std::size_t capacity)
+      : stride_(num_services),
+        cap_(capacity),
+        crus_(capacity * num_services, 0),
+        rrbs_(capacity, 0),
+        stamp_(capacity, kFree) {}
+
+  std::uint32_t publish(const BsLocalResources& r) {
+    // dmra::hotpath begin(snapshot-publish)
+    const std::size_t idx = static_cast<std::size_t>(next_ % cap_);
+    std::copy(r.crus.begin(), r.crus.end(), crus_.begin() + idx * stride_);
+    rrbs_[idx] = r.rrbs;
+    stamp_[idx] = next_;
+    return static_cast<std::uint32_t>(next_++);
+    // dmra::hotpath end(snapshot-publish)
+  }
+
+  std::uint32_t crus(std::uint32_t snapshot, std::size_t service) const {
+    return crus_[index_of(snapshot) * stride_ + service];
+  }
+  std::uint32_t rrbs(std::uint32_t snapshot) const { return rrbs_[index_of(snapshot)]; }
+
+ private:
+  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+
+  std::size_t index_of(std::uint32_t snapshot) const {
+    const std::size_t idx = snapshot % cap_;
+    DMRA_REQUIRE_MSG(stamp_[idx] == snapshot,
+                     "snapshot evicted before ingest: ring sized below the "
+                     "in-flight broadcast window");
+    return idx;
+  }
+
+  std::size_t stride_;
+  std::size_t cap_;
+  std::uint64_t next_ = 0;
+  std::vector<std::uint32_t> crus_;  // stride_ words per slot
+  std::vector<std::uint32_t> rrbs_;
+  std::vector<std::uint64_t> stamp_;  // snapshot id currently held per slot
+};
+
+// ---- Message types -------------------------------------------------------
+
+/// UE → its SP: "propose on my behalf to BS `target`".
+struct MsgOffloadRequest {
+  UeId ue;
+  BsId target;
+  std::uint32_t f_u;
+};
+
+/// SP → BS: relayed proposal.
+struct MsgPropose {
+  UeId ue;
+  std::uint32_t f_u;
+};
+
+/// BS → SP → UE: outcome of a proposal.
+struct MsgDecision {
+  UeId ue;
+  BsId bs;
+  bool accept;
+};
+
+/// BS → its audience: remaining resources after this round, as an index
+/// into the snapshot arena the BS published at send time.
+struct MsgResourceUpdate {
+  BsId bs;
+  std::uint32_t snapshot;
+};
+
+using Payload = std::variant<MsgOffloadRequest, MsgPropose, MsgDecision, MsgResourceUpdate>;
+using Bus = MessageBus<Payload>;
+
+/// Stable sort of proposals by UeId into caller-owned scratch — the
+/// stable-sorted permutation is unique, so this is element-for-element
+/// identical to std::stable_sort without its per-call temporary-buffer
+/// heap allocation (which would break the faulted round loop's
+/// zero-allocation budget; tests/core/alloc_test.cpp asserts it).
+void stable_sort_by_ue(std::vector<ProposalInfo>& v, std::vector<ProposalInfo>& scratch) {
+  const std::size_t n = v.size();
+  if (scratch.size() < n) scratch.resize(n);  // grow-only; reserved by caller
+  for (std::size_t width = 1; width < n; width *= 2) {
+    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
+      const std::size_t mid = std::min(lo + width, n);
+      const std::size_t hi = std::min(lo + 2 * width, n);
+      std::size_t i = lo, j = mid, k = lo;
+      // Left run wins ties: that is exactly the stability guarantee.
+      while (i < mid && j < hi) scratch[k++] = v[j].ue < v[i].ue ? v[j++] : v[i++];
+      while (i < mid) scratch[k++] = v[i++];
+      while (j < hi) scratch[k++] = v[j++];
+    }
+    std::copy(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(n),
+              v.begin());
+  }
+}
 
 // ---- Agents ---------------------------------------------------------------
 
 // A UE's view of its candidates' remaining resources lives in two flat
-// run-level arrays (one CRU word — the UE's own service — and one RRB
-// word per candidate slot, indexed by Scenario::candidate_offset). They
-// are prefilled with the BSs' static capacities — the optimistic prior a
-// UE is allowed to hold for a candidate it has not heard from (possible
-// only on a lossy network; the reliable bootstrap covers everyone), and
-// the safe one: a pessimistic prior would make choose_proposal erase a
-// live candidate permanently. Broadcast ingest overwrites the slot with
-// the ring values in arrival order, which is exactly the last-write-wins
-// the old lazily-dereferenced per-UE snapshot view computed.
+// arrays the entry point owns (one CRU word — the UE's own service — and
+// one RRB word per candidate slot, indexed by Scenario::candidate_offset),
+// shared by concurrent runs over disjoint scopes. They are prefilled with
+// the BSs' static capacities — the optimistic prior a UE is allowed to
+// hold for a candidate it has not heard from (possible only on a lossy
+// network; the reliable bootstrap covers everyone), and the safe one: a
+// pessimistic prior would make choose_proposal erase a live candidate
+// permanently. Broadcast ingest overwrites the slot with the ring values
+// in arrival order, which is exactly the last-write-wins the old
+// lazily-dereferenced per-UE snapshot view computed.
 
 struct UeAgent {
   UeId ue;
@@ -65,24 +172,37 @@ struct BsAgent {
   BsId bs;
   AgentId address;
   BsLocalResources resources;
-  std::vector<AgentId> covered_ues;  // broadcast audience
-  /// UEs this BS has already admitted — on a lossy network an accept can
-  /// be lost and the UE re-proposes; re-ack without committing twice.
+  /// Broadcast audience: the member UEs that list this BS as a candidate,
+  /// ascending. Anyone else would discard the update unread.
+  std::vector<AgentId> audience;
+  /// Member UEs (by scope position) this BS has already admitted — on an
+  /// unreliable network an accept can be lost and the UE re-proposes;
+  /// re-ack without committing twice. Empty on a reliable bus, where every
+  /// accept arrives and nobody re-proposes to the BS that admitted it.
   std::vector<bool> admitted;
   /// Cleared by a scheduled FaultPlan crash: a dead BS swallows its inbox,
   /// sends nothing, and its resource state is meaningless until recovery.
   bool alive = true;
 };
 
-}  // namespace
+/// Global id → scope position; kNotLocal for agents outside the scope.
+constexpr std::uint32_t kNotLocal = 0xFFFFFFFFu;
 
-DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
-                                           const DmraConfig& config,
-                                           const NetworkConditions& net) {
-  DMRA_REQUIRE(config.rho >= 0.0);
-  const bool lossy = net.drop_probability > 0.0;
+using runtime_detail::ProtocolRun;
+using runtime_detail::ProtocolScope;
+
+/// The engine body, instantiated twice from one source. run_protocol
+/// picks kUnreliable from its NetworkConditions: false (a reliable bus and
+/// no fault plan) folds every loss and fault branch out of the round
+/// loop, which keeps shards as fast as a fault-free copy of the loop.
+template <bool kUnreliable>
+ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
+                      const NetworkConditions& net, const ProtocolScope& scope,
+                      std::vector<std::uint32_t>& view_crus,
+                      std::vector<std::uint32_t>& view_rrbs, LiveCandidates& b_u) {
+  const bool lossy = kUnreliable && net.drop_probability > 0.0;
   const FaultPlan* const plan = net.faults;
-  const bool faulty = plan != nullptr && plan->any();
+  const bool faulty = kUnreliable && plan != nullptr && plan->any();
   if (faulty) {
     plan->validate(scenario.num_bss());
     DMRA_REQUIRE_MSG(net.drop_probability == 0.0,
@@ -108,8 +228,8 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   Bus bus;
   if (lossy) bus.set_loss(net.drop_probability, net.seed);
   if (faulty && plan->link.any()) bus.set_faults(plan->link, net.seed);
-  const std::size_t nu = scenario.num_ues();
-  const std::size_t nb = scenario.num_bss();
+  const std::size_t nu = scope.ues.size();
+  const std::size_t nb = scope.bss.size();
   const std::size_t nk = scenario.num_sps();
 
   // Ring capacity: a snapshot only has to survive from publish until the
@@ -120,21 +240,24 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   const std::size_t ring_cap = std::max<std::size_t>(
       1, nb * (8 + (faulty ? static_cast<std::size_t>(plan->link.max_delay_rounds) : 0)));
   SnapshotRing arena(scenario.num_services(), ring_cap);
-  LiveCandidates b_u;
-  b_u.build(scenario);
-  std::vector<std::uint32_t> view_crus(scenario.num_candidate_slots());
-  std::vector<std::uint32_t> view_rrbs(scenario.num_candidate_slots());
   std::vector<UeAgent> ue_agents(nu);
   std::vector<SpAgent> sp_agents(nk);
   std::vector<BsAgent> bs_agents(nb);
+  std::vector<std::uint32_t> ue_local(scenario.num_ues(), kNotLocal);
+  std::vector<std::uint32_t> bs_local(scenario.num_bss(), kNotLocal);
 
+  // Registration order (SPs, member UEs, member BSs, each ascending) fixes
+  // the bus's (recipient, seq) delivery order, so a scope holding every
+  // agent runs exactly the single-bus protocol.
   for (std::size_t k = 0; k < nk; ++k) {
     sp_agents[k].sp = SpId{static_cast<std::uint32_t>(k)};
     sp_agents[k].address = bus.register_agent();
   }
-  for (std::size_t ui = 0; ui < nu; ++ui) {
-    UeAgent& a = ue_agents[ui];
-    a.ue = UeId{static_cast<std::uint32_t>(ui)};
+  for (std::size_t li = 0; li < nu; ++li) {
+    UeAgent& a = ue_agents[li];
+    a.ue = scope.ues[li];
+    DMRA_REQUIRE_MSG(li == 0 || scope.ues[li - 1] < a.ue, "scope UEs must be ascending");
+    ue_local[a.ue.idx()] = static_cast<std::uint32_t>(li);
     a.address = bus.register_agent();
     a.sp_address = sp_agents[scenario.ue(a.ue).sp.idx()].address;
     const auto cands = scenario.candidates(a.ue);
@@ -147,30 +270,39 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     }
     if (b_u.empty(a.ue)) a.at_cloud = true;
   }
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    BsAgent& a = bs_agents[bi];
-    a.bs = BsId{static_cast<std::uint32_t>(bi)};
+  for (std::size_t lb = 0; lb < nb; ++lb) {
+    BsAgent& a = bs_agents[lb];
+    a.bs = scope.bss[lb];
+    DMRA_REQUIRE_MSG(lb == 0 || scope.bss[lb - 1] < a.bs, "scope BSs must be ascending");
+    bs_local[a.bs.idx()] = static_cast<std::uint32_t>(lb);
     a.address = bus.register_agent();
     const BaseStation& b = scenario.bs(a.bs);
     a.resources.crus = b.cru_capacity;
     a.resources.rrbs = b.num_rrbs;
-    a.admitted.assign(nu, false);
-    for (const UeAgent& u : ue_agents)
-      if (scenario.link(u.ue, a.bs).in_coverage) a.covered_ues.push_back(u.address);
+    if (unreliable) a.admitted.assign(nu, false);
   }
+  // Broadcast audiences, by inverting the candidate lists (UE-ascending
+  // per BS, because the UEs are visited in order).
+  for (const UeAgent& u : ue_agents)
+    for (const BsId i : scenario.candidates(u.ue)) {
+      DMRA_REQUIRE_MSG(bs_local[i.idx()] != kNotLocal,
+                       "scope UE with a candidate outside the scope");
+      bs_agents[bs_local[i.idx()]].audience.push_back(u.address);
+    }
 
   // Warm the bus pools to the per-deliver high-water mark: the BS phase is
   // the widest (one decision per proposer — times the fault generation
   // headroom the SP relays can forward in one round — plus a broadcast
-  // per covered UE), so after this the steady-state round loop never
+  // per audience member), so after this the steady-state round loop never
   // grows a bus buffer. reserve() runs after set_faults() above, so it
   // also sizes the delay parking queue from the armed fault rates.
-  std::size_t sum_covered = 0;
-  for (const BsAgent& b : bs_agents) sum_covered += b.covered_ues.size();
-  bus.reserve(2 * nu * generations + sum_covered);
+  std::size_t sum_audience = 0;
+  for (const BsAgent& b : bs_agents) sum_audience += b.audience.size();
+  bus.reserve(2 * nu * generations + sum_audience);
 
-  DecentralizedResult result;
-  result.dmra.allocation = Allocation(nu);
+  ProtocolRun run;
+  DecentralizedResult& result = run.result;
+  result.dmra.allocation = Allocation(scenario.num_ues());
 
   // Tracing: a single pointer test when disabled; everything else hides
   // behind it. traced_profit mirrors the BSs' cumulative admissions.
@@ -181,7 +313,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     rec->set_round(0);
     obs::TraceEvent e;
     e.kind = obs::EventKind::kPhase;
-    e.label = "core/decentralized:bootstrap";
+    e.label = scope.bootstrap_label;
     e.value = nb;
     rec->record(e);
   }
@@ -191,11 +323,11 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   // its steady-state cost is a handful of ring stores per round.
   obs::FlightRecorder* const fr = obs::flight();
   if (fr != nullptr) {
-    fr->reserve_agents(nu, nb);
+    fr->reserve_agents(scenario.num_ues(), scenario.num_bss());  // events carry global ids
     fr->set_round(0);
     obs::TraceEvent e;
     e.kind = obs::EventKind::kPhase;
-    e.label = "core/decentralized:bootstrap";
+    e.label = scope.bootstrap_label;
     e.value = nb;
     fr->record(e);
   }
@@ -216,13 +348,13 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   // have a complete view of their candidates before the first proposal.
   for (BsAgent& b : bs_agents) {
     const std::uint32_t snapshot = arena.publish(b.resources);
-    for (AgentId ue_addr : b.covered_ues)
+    for (AgentId ue_addr : b.audience)
       bus.send(b.address, ue_addr, MsgResourceUpdate{b.bs, snapshot});
     if (rec != nullptr) {
       obs::TraceEvent e;
       e.kind = obs::EventKind::kBroadcast;
       e.bs = b.bs.value;
-      e.value = b.covered_ues.size();
+      e.value = b.audience.size();
       rec->record(e);
     }
   }
@@ -295,50 +427,51 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     if (round >= kAllocSettleRounds) result.alloc.steady_state_allocations += delta;
   };
 
-  bool converged = false;
   for (std::size_t round = 0; round < round_limit; ++round) {
     const std::uint64_t msgs_before = bus.stats().messages_sent;
     if (rec != nullptr) rec->set_round(round);
     if (fr != nullptr) fr->set_round(round);
 
     // ---- Fault schedule: apply this round's crashes / recoveries /
-    // degradations before anyone acts. The injector is an out-of-band
-    // scheduler, not an agent: it may touch BS state and the authoritative
-    // allocation, but UEs only ever learn of a fault through the protocol
-    // (silence, lost decisions) — that is what is under test.
+    // degradations to the member BSs before anyone acts. The injector is
+    // an out-of-band scheduler, not an agent: it may touch BS state and
+    // the authoritative allocation, but UEs only ever learn of a fault
+    // through the protocol (silence, lost decisions) — that is what is
+    // under test.
     if (faulty) {
       for (const BsOutage& o : plan->outages) {
-        if (o.crash_round == round && bs_agents[o.bs.idx()].alive) {
-          BsAgent& cb = bs_agents[o.bs.idx()];
-          cb.alive = false;
-          std::fill(cb.admitted.begin(), cb.admitted.end(), false);
+        const std::uint32_t lb = bs_local[o.bs.idx()];
+        if (lb == kNotLocal) continue;
+        BsAgent& ob = bs_agents[lb];
+        if (o.crash_round == round && ob.alive) {
+          ob.alive = false;
+          std::fill(ob.admitted.begin(), ob.admitted.end(), false);
           ++result.recovery.bs_crashes;
           record_fault(obs::EventKind::kFault, "bs-crash", obs::kNoId, o.bs.value, round);
           if (fr != nullptr) fr->trigger("bs-crash", round, o.bs.value);
-          for (std::size_t ui = 0; ui < nu; ++ui) {
-            const UeId u{static_cast<std::uint32_t>(ui)};
-            const auto serving = result.dmra.allocation.bs_of(u);
+          for (UeAgent& a : ue_agents) {
+            const auto serving = result.dmra.allocation.bs_of(a.ue);
             if (!serving || *serving != o.bs) continue;
-            if (rec != nullptr) traced_profit -= scenario.pair_profit(u, o.bs);
-            result.dmra.allocation.assign_cloud(u);
-            ue_agents[ui].needs_repair = true;
+            if (rec != nullptr) traced_profit -= scenario.pair_profit(a.ue, o.bs);
+            result.dmra.allocation.assign_cloud(a.ue);
+            a.needs_repair = true;
             ++result.recovery.orphaned_ues;
           }
         }
-        if (o.recover_round == round && !bs_agents[o.bs.idx()].alive) {
-          BsAgent& rb = bs_agents[o.bs.idx()];
-          rb.alive = true;
+        if (o.recover_round == round && !ob.alive) {
+          ob.alive = true;
           const BaseStation& b = scenario.bs(o.bs);
-          rb.resources.crus = b.cru_capacity;  // reboot with nominal capacity
-          rb.resources.rrbs = b.num_rrbs;
+          ob.resources.crus = b.cru_capacity;  // reboot with nominal capacity
+          ob.resources.rrbs = b.num_rrbs;
           ++result.recovery.bs_recoveries;
           record_fault(obs::EventKind::kRepair, "bs-recover", obs::kNoId, o.bs.value,
                        round);
         }
       }
       for (const CapacityDegradation& d : plan->degradations) {
-        if (d.round != round || !bs_agents[d.bs.idx()].alive) continue;
-        BsLocalResources& r = bs_agents[d.bs.idx()].resources;
+        const std::uint32_t lb = bs_local[d.bs.idx()];
+        if (lb == kNotLocal || d.round != round || !bs_agents[lb].alive) continue;
+        BsLocalResources& r = bs_agents[lb].resources;
         for (std::uint32_t& c : r.crus)
           c = static_cast<std::uint32_t>(static_cast<double>(c) * d.cru_factor);
         r.rrbs = static_cast<std::uint32_t>(static_cast<double>(r.rrbs) * d.rrb_factor);
@@ -357,9 +490,8 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       const std::size_t svc = scenario.ue(a.ue).service.idx();
       for (auto& env : bus.take_inbox(a.address)) {
         if (auto* upd = std::get_if<MsgResourceUpdate>(&env.payload)) {
-          // Broadcasts from covering-but-non-candidate BSs carry no
-          // information this UE will ever query; the proposal logic only
-          // reads candidate slots.
+          // Audiences hold candidates only; the guard keeps a stray update
+          // from writing outside this UE's slots.
           const auto it = std::lower_bound(cands.begin(), cands.end(), upd->bs);
           if (it != cands.end() && *it == upd->bs) {
             const std::size_t slot = off + static_cast<std::size_t>(it - cands.begin());
@@ -451,13 +583,13 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     bus.deliver();
     if (sent_this_round == 0) {
       if (!faulty) {
-        converged = true;
+        run.converged = true;
         sample_round(round);
         break;
       }
       ++quiet_rounds;
       if (quiet_rounds > quiet_grace && bus.in_flight() == 0 && !schedule_ahead(round)) {
-        converged = true;
+        run.converged = true;
         sample_round(round);
         break;
       }
@@ -475,11 +607,11 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     for (SpAgent& sp : sp_agents) {
       for (auto& env : bus.take_inbox(sp.address)) {
         if (const auto* req = std::get_if<MsgOffloadRequest>(&env.payload)) {
-          bus.send(sp.address, bs_agents[req->target.idx()].address,
+          bus.send(sp.address, bs_agents[bs_local[req->target.idx()]].address,
                    MsgPropose{req->ue, req->f_u});
         } else {
           const auto& dec = std::get<MsgDecision>(env.payload);
-          bus.send(sp.address, ue_agents[dec.ue.idx()].address, dec);
+          bus.send(sp.address, ue_agents[ue_local[dec.ue.idx()]].address, dec);
         }
       }
     }
@@ -503,7 +635,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
         const auto& p = std::get<MsgPropose>(env.payload);
         // A UE this BS already admitted can only re-propose because the
         // accept got lost: re-ack idempotently, never commit twice.
-        if (b.admitted[p.ue.idx()]) {
+        if (unreliable && b.admitted[ue_local[p.ue.idx()]]) {
           reacks.push_back(p.ue);
         } else {
           fresh.push_back(ProposalInfo{p.ue, p.f_u});
@@ -533,14 +665,14 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
         b.resources.crus[e.service.idx()] -= e.cru_demand;
         b.resources.rrbs -= l.n_rrbs;
         result.dmra.allocation.assign(u, b.bs);
-        b.admitted[u.idx()] = true;
+        if (unreliable) b.admitted[ue_local[u.idx()]] = true;
         ++accepted_this_round;
         if (rec != nullptr) traced_profit += scenario.pair_profit(u, b.bs);
         // Recovery accounting (run-level bookkeeping, not agent knowledge:
         // the BS cannot tell an orphan from a first-time proposer, which
         // is the point — re-admission needs no special message).
-        if (faulty && ue_agents[u.idx()].needs_repair) {
-          ue_agents[u.idx()].needs_repair = false;
+        if (faulty && ue_agents[ue_local[u.idx()]].needs_repair) {
+          ue_agents[ue_local[u.idx()]].needs_repair = false;
           ++result.recovery.repaired_in_protocol;
           result.recovery.recovered_profit += scenario.pair_profit(u, b.bs);
           record_fault(obs::EventKind::kRepair, "re-match", u.value, b.bs.value, round);
@@ -558,18 +690,18 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
         const AgentId sp_addr = sp_agents[scenario.ue(u).sp.idx()].address;
         bus.send(b.address, sp_addr, MsgDecision{u, b.bs, true});
       }
-      // Broadcast the new resource levels to everyone in coverage; on an
+      // Broadcast the new resource levels to the audience; on an
       // unreliable network, rebroadcast every round so dropped updates
       // heal and matched UEs keep hearing their serving BS.
       if (!fresh.empty() || !reacks.empty() || unreliable) {
         const std::uint32_t snapshot = arena.publish(b.resources);
-        for (AgentId ue_addr : b.covered_ues)
+        for (AgentId ue_addr : b.audience)
           bus.send(b.address, ue_addr, MsgResourceUpdate{b.bs, snapshot});
         if (rec != nullptr) {
           obs::TraceEvent e;
           e.kind = obs::EventKind::kBroadcast;
           e.bs = b.bs.value;
-          e.value = b.covered_ues.size();
+          e.value = b.audience.size();
           rec->record(e);
         }
       }
@@ -583,12 +715,14 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
                                                : 0;
 
     // Cross-check every BS agent's local ledger against a from-scratch
-    // recount of the partial allocation (the agents never see each other's
-    // state, so on a reliable bus drift here means a protocol bug). On an
-    // unreliable bus a BS rightfully holds resources for accepts the UE
-    // never received until rebroadcasts heal it, and a re-proposing UE can
-    // land on a worse BS, so mid-run only partial feasibility is an
-    // invariant: skip the ledger snapshot and the cross-round profit chain.
+    // recount of the run's partial allocation (the agents never see each
+    // other's state, so on a reliable bus drift here means a protocol
+    // bug); BSs outside the scope hold nothing of it and report nominal
+    // capacity. On an unreliable bus a BS rightfully holds resources for
+    // accepts the UE never received until rebroadcasts heal it, and a
+    // re-proposing UE can land on a worse BS, so mid-run only partial
+    // feasibility is an invariant: skip the ledger snapshot and the
+    // cross-round profit chain.
     if (DMRA_AUDIT_ACTIVE()) {
       audit::RoundContext ctx;
       ctx.scenario = &scenario;
@@ -596,12 +730,19 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       if (!unreliable) {
         ctx.ledger = audit::snapshot_ledger(
             scenario,
-            [&](BsId i, ServiceId j) { return bs_agents[i.idx()].resources.crus[j.idx()]; },
-            [&](BsId i) { return bs_agents[i.idx()].resources.rrbs; });
+            [&](BsId i, ServiceId j) {
+              const std::uint32_t lb = bs_local[i.idx()];
+              return lb == kNotLocal ? scenario.bs(i).cru_capacity[j.idx()]
+                                     : bs_agents[lb].resources.crus[j.idx()];
+            },
+            [&](BsId i) {
+              const std::uint32_t lb = bs_local[i.idx()];
+              return lb == kNotLocal ? scenario.bs(i).num_rrbs : bs_agents[lb].resources.rrbs;
+            });
       }
       ctx.round = unreliable ? 0 : result.dmra.rounds - 1;
       ctx.source = faulty ? "core/decentralized-faulty"
-                          : (lossy ? "core/decentralized-lossy" : "core/decentralized");
+                          : (lossy ? "core/decentralized-lossy" : scope.source);
       audit::observer()->on_round(ctx);
     }
 
@@ -612,10 +753,10 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     for (SpAgent& sp : sp_agents) {
       for (auto& env : bus.take_inbox(sp.address)) {
         if (const auto* dec = std::get_if<MsgDecision>(&env.payload)) {
-          bus.send(sp.address, ue_agents[dec->ue.idx()].address, *dec);
+          bus.send(sp.address, ue_agents[ue_local[dec->ue.idx()]].address, *dec);
         } else {
           const auto& req = std::get<MsgOffloadRequest>(env.payload);
-          bus.send(sp.address, bs_agents[req.target.idx()].address,
+          bus.send(sp.address, bs_agents[bs_local[req.target.idx()]].address,
                    MsgPropose{req.ue, req.f_u});
         }
       }
@@ -626,7 +767,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     if (rec != nullptr) {
       const obs::EventTally tally = rec->take_tally();
       obs::RoundRow row;
-      row.source = "core/decentralized";
+      row.source = scope.source;
       row.round = result.dmra.rounds - 1;
       row.proposals = tally.proposals;
       row.accepts = tally.accepts;
@@ -653,7 +794,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       // Cheap aggregate only — no O(nu)/O(nb) scans: the flight round
       // ring must stay within the <2% always-on budget.
       obs::RoundRow row;
-      row.source = "core/decentralized";
+      row.source = scope.source;
       row.round = result.dmra.rounds - 1;
       row.proposals = sent_this_round;
       row.accepts = accepted_this_round;
@@ -673,21 +814,18 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   // stays at the cloud — that is the graceful-degradation floor, never a
   // crash or an infeasible allocation.
   if (faulty && net.recovery.final_repair) {
-    std::vector<bool> matched(nu, true);
+    std::vector<bool> matched(scenario.num_ues(), true);
     std::size_t orphan_count = 0;
-    for (std::size_t ui = 0; ui < nu; ++ui) {
-      const UeAgent& a = ue_agents[ui];
+    for (const UeAgent& a : ue_agents) {
       if (a.needs_repair && result.dmra.allocation.is_cloud(a.ue)) {
-        matched[ui] = false;
+        matched[a.ue.idx()] = false;
         ++orphan_count;
       }
     }
     if (orphan_count > 0) {
       ResourceState state(scenario);
-      for (std::size_t ui = 0; ui < nu; ++ui) {
-        const UeId u{static_cast<std::uint32_t>(ui)};
-        if (const auto bs = result.dmra.allocation.bs_of(u)) state.commit(u, *bs);
-      }
+      for (const UeAgent& a : ue_agents)
+        if (const auto bs = result.dmra.allocation.bs_of(a.ue)) state.commit(a.ue, *bs);
       // Clamp the global view down to each BS's own ledger: a crashed BS
       // offers nothing, and a degraded (or leak-carrying) BS offers only
       // what it believes it has. The repair pass must never promise
@@ -709,8 +847,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
                                     result.dmra.allocation, matched);
       }
       result.recovery.repair_rounds = repair.rounds;
-      for (std::size_t ui = 0; ui < nu; ++ui) {
-        UeAgent& a = ue_agents[ui];
+      for (UeAgent& a : ue_agents) {
         if (!a.needs_repair || result.dmra.allocation.is_cloud(a.ue)) continue;
         a.needs_repair = false;
         const auto bs = result.dmra.allocation.bs_of(a.ue);
@@ -743,6 +880,44 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   }
 
   result.bus = bus.stats();
+  return run;
+}
+
+}  // namespace
+
+namespace runtime_detail {
+
+ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
+                         const NetworkConditions& net, const ProtocolScope& scope,
+                         std::vector<std::uint32_t>& view_crus,
+                         std::vector<std::uint32_t>& view_rrbs, LiveCandidates& b_u) {
+  DMRA_REQUIRE(config.rho >= 0.0);
+  const bool unreliable =
+      net.drop_probability > 0.0 || (net.faults != nullptr && net.faults->any());
+  return unreliable ? run_scope<true>(scenario, config, net, scope, view_crus, view_rrbs, b_u)
+                    : run_scope<false>(scenario, config, net, scope, view_crus, view_rrbs, b_u);
+}
+
+}  // namespace runtime_detail
+
+DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
+                                           const DmraConfig& config,
+                                           const NetworkConditions& net) {
+  std::vector<UeId> ues(scenario.num_ues());
+  for (std::size_t u = 0; u < ues.size(); ++u) ues[u] = UeId{static_cast<std::uint32_t>(u)};
+  std::vector<BsId> bss(scenario.num_bss());
+  for (std::size_t i = 0; i < bss.size(); ++i) bss[i] = BsId{static_cast<std::uint32_t>(i)};
+  LiveCandidates b_u;
+  b_u.build(scenario);
+  std::vector<std::uint32_t> view_crus(scenario.num_candidate_slots());
+  std::vector<std::uint32_t> view_rrbs(scenario.num_candidate_slots());
+  runtime_detail::ProtocolRun run = runtime_detail::run_protocol(
+      scenario, config, net,
+      {ues, bss, "core/decentralized", "core/decentralized:bootstrap"}, view_crus,
+      view_rrbs, b_u);
+  const DecentralizedResult& result = run.result;
+
+  const bool faulty = net.faults != nullptr && net.faults->any();
   const auto publish_run = [&](obs::MetricsRegistry& m) {
     obs::publish_bus_stats(result.bus, m);
     if (faulty) {
@@ -763,10 +938,12 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       m.set_gauge("fault.recovered_profit", r.recovered_profit);
     }
   };
+  obs::TraceRecorder* const rec = obs::recorder();
+  obs::FlightRecorder* const fr = obs::flight();
   if (rec != nullptr || fr != nullptr) {
     obs::TraceEvent e;
     e.kind = obs::EventKind::kTermination;
-    e.flag = converged;
+    e.flag = run.converged;
     e.value = result.dmra.rounds;
     e.label = "core/decentralized";
     if (rec != nullptr) {
@@ -778,7 +955,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       publish_run(fr->metrics());
     }
   }
-  return result;
+  return std::move(run.result);
 }
 
 }  // namespace dmra

@@ -18,6 +18,15 @@
 // same allocation as the direct solver — tests/core/decentralized_test.cpp
 // asserts exact equality across seeds.
 //
+// One engine, two entry points: run_decentralized_dmra runs the protocol
+// engine (core/runtime_detail.hpp) over every UE and BS on one bus;
+// run_sharded_dmra runs the same engine once per region, each over its
+// region's member UEs and BSs on a bus of its own. An engine run's
+// agents are exactly its scope's members plus every SP's relay, and a
+// BS's broadcast audience is the member UEs that list it as a candidate
+// (Scenario::candidates) — a covered UE that cannot be served there
+// never reads its levels, so it is not sent them.
+//
 // Fault tolerance: attach a FaultPlan (net/fault_plan.hpp) through
 // NetworkConditions::faults and the runtime survives message loss,
 // duplication, delay, BS crashes, and capacity degradation — safe (always
@@ -159,22 +168,27 @@ struct ShardedResult {
   DmraResult dmra;   ///< merged allocation + summed convergence diagnostics
   BusStats bus;      ///< field-wise sum over the per-shard buses
   ShardStats shard;  ///< partition + reconcile accounting
+  /// Round-loop heap-allocation accounting, summed over the shards. A
+  /// probe counts the calling thread only, so it means something at
+  /// jobs = 1.
+  AllocCounters alloc;
 };
 
 /// Run DMRA as parallel region-local protocols over per-shard message
 /// buses, then reconcile boundary UEs deterministically.
 ///
 /// The arena is partitioned into `shard.num_shards` vertical strips
-/// (partition_regions); each region gets its own MessageBus carrying only
-/// that region's UE and BS agents (every SP registers a relay on every
-/// bus — SPs are operators, not places). Interior UEs — candidates all in
-/// one region — run the standard reliable protocol against their region's
-/// bus, in parallel across shards with zero shared mutable state.
-/// Boundary UEs sit out the shard pass and are matched afterwards by a
-/// deterministic single-threaded solve_dmra_partial against the residual
-/// post-shard resources, so every shard count yields a feasible
-/// allocation and num_shards == 1 is bit-identical to the single-bus
-/// oracle (tests/core/sharded_test.cpp). For num_shards > 1 the profit
+/// (partition_regions); each region runs the protocol engine scoped to its
+/// interior UEs — candidates all in one region — and its BSs, on its own
+/// MessageBus (every SP registers a relay on every bus — SPs are
+/// operators, not places), in parallel across shards with no shared
+/// mutable state. Each region's run owns its allocation, so under
+/// DMRA_AUDIT the per-round ledger audit covers shards too. Boundary UEs
+/// sit out the shard pass and are matched afterwards by a deterministic
+/// single-threaded solve_dmra_partial against the residual post-shard
+/// resources, so every shard count yields a feasible allocation and
+/// num_shards == 1 is bit-identical to the single-bus oracle, round rows
+/// included (tests/core/sharded_test.cpp). For num_shards > 1 the profit
 /// may differ from the oracle only through boundary UEs being matched
 /// after interior ones — a bounded, measured gap (docs/PERFORMANCE.md).
 ///

@@ -1,134 +1,53 @@
-// Shared internals of the message-passing runtimes: the snapshot ring,
-// the wire message types, and the allocation-free proposal sort. Used by
-// the single-bus runtime (core/decentralized.cpp) and the region-sharded
-// runtime (core/sharded.cpp); not part of the public core API.
+// The protocol engine behind both message-passing runtimes: Alg. 1 run by
+// UE, SP and BS agents over one MessageBus, restricted to a scope of
+// member UEs and BSs. run_decentralized_dmra scopes it to every agent;
+// run_sharded_dmra runs it once per region. Not part of the public core
+// API.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <variant>
+#include <span>
+#include <string_view>
 #include <vector>
 
+#include "core/decentralized.hpp"
 #include "core/preference.hpp"
 #include "mec/ids.hpp"
-#include "net/bus.hpp"
-#include "util/require.hpp"
+#include "mec/scenario.hpp"
 
 namespace dmra::runtime_detail {
 
-// ---- Resource snapshots ----------------------------------------------------
-
-/// Bounded ring of the resource levels BSs have broadcast. A broadcast
-/// publishes ONE snapshot and fans out a {BsId, index} message to every
-/// covered UE, so the per-round messaging cost is O(audience)
-/// trivially-copyable envelopes instead of O(audience) heap-allocated
-/// CRU vectors. Indices are monotonically increasing, so they double as
-/// the epoch stamp: a UE slot holding a larger index is strictly newer.
-///
-/// UEs copy the values they care about at ingest (see the view arrays in
-/// run_decentralized_dmra), so a snapshot only has to outlive the bus
-/// transit of the broadcasts that reference it — a handful of rounds even
-/// under maximal delay faults. The ring is sized for that window once at
-/// construction and publish() is thereafter allocation-free; every read
-/// revalidates its stamp so an undersized ring is a loud contract
-/// violation, never a silently stale view.
-class SnapshotRing {
- public:
-  SnapshotRing(std::size_t num_services, std::size_t capacity)
-      : stride_(num_services),
-        cap_(capacity),
-        crus_(capacity * num_services, 0),
-        rrbs_(capacity, 0),
-        stamp_(capacity, kFree) {}
-
-  std::uint32_t publish(const BsLocalResources& r) {
-    // dmra::hotpath begin(snapshot-publish)
-    const std::size_t idx = static_cast<std::size_t>(next_ % cap_);
-    std::copy(r.crus.begin(), r.crus.end(), crus_.begin() + idx * stride_);
-    rrbs_[idx] = r.rrbs;
-    stamp_[idx] = next_;
-    return static_cast<std::uint32_t>(next_++);
-    // dmra::hotpath end(snapshot-publish)
-  }
-
-  std::uint32_t crus(std::uint32_t snapshot, std::size_t service) const {
-    return crus_[index_of(snapshot) * stride_ + service];
-  }
-  std::uint32_t rrbs(std::uint32_t snapshot) const { return rrbs_[index_of(snapshot)]; }
-
- private:
-  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
-
-  std::size_t index_of(std::uint32_t snapshot) const {
-    const std::size_t idx = snapshot % cap_;
-    DMRA_REQUIRE_MSG(stamp_[idx] == snapshot,
-                     "snapshot evicted before ingest: ring sized below the "
-                     "in-flight broadcast window");
-    return idx;
-  }
-
-  std::size_t stride_;
-  std::size_t cap_;
-  std::uint64_t next_ = 0;
-  std::vector<std::uint32_t> crus_;  // stride_ words per slot
-  std::vector<std::uint32_t> rrbs_;
-  std::vector<std::uint64_t> stamp_;  // snapshot id currently held per slot
+/// The agents one engine run covers. Agent state is indexed by scope
+/// position; messages and the fault schedule name agents by global id and
+/// are routed through global→scope index maps.
+struct ProtocolScope {
+  std::span<const UeId> ues;  ///< member UEs, ids ascending
+  std::span<const BsId> bss;  ///< member BSs, ids ascending; must hold
+                              ///< every candidate of every member UE
+  /// Round-row and audit source, e.g. "core/decentralized". Static storage.
+  std::string_view source;
+  /// Label of the bootstrap phase event. Static storage.
+  std::string_view bootstrap_label;
 };
 
-// ---- Message types -------------------------------------------------------
-
-/// UE → its SP: "propose on my behalf to BS `target`".
-struct MsgOffloadRequest {
-  UeId ue;
-  BsId target;
-  std::uint32_t f_u;
+/// One engine run's outcome. The allocation is the run's own: it holds
+/// only member UEs, so per-round audits and trace rows see the scope alone.
+struct ProtocolRun {
+  DecentralizedResult result;
+  bool converged = false;  ///< the round loop ended quiet, not at its limit
 };
 
-/// SP → BS: relayed proposal.
-struct MsgPropose {
-  UeId ue;
-  std::uint32_t f_u;
-};
-
-/// BS → SP → UE: outcome of a proposal.
-struct MsgDecision {
-  UeId ue;
-  BsId bs;
-  bool accept;
-};
-
-/// BS → covered UEs: remaining resources after this round, as an index
-/// into the snapshot arena the BS published at send time.
-struct MsgResourceUpdate {
-  BsId bs;
-  std::uint32_t snapshot;
-};
-
-using Payload = std::variant<MsgOffloadRequest, MsgPropose, MsgDecision, MsgResourceUpdate>;
-using Bus = MessageBus<Payload>;
-
-/// Stable sort of proposals by UeId into caller-owned scratch — the
-/// stable-sorted permutation is unique, so this is element-for-element
-/// identical to std::stable_sort without its per-call temporary-buffer
-/// heap allocation (which would break the faulted round loop's
-/// zero-allocation budget; tests/core/alloc_test.cpp asserts it).
-inline void stable_sort_by_ue(std::vector<ProposalInfo>& v,
-                              std::vector<ProposalInfo>& scratch) {
-  const std::size_t n = v.size();
-  if (scratch.size() < n) scratch.resize(n);  // grow-only; reserved by caller
-  for (std::size_t width = 1; width < n; width *= 2) {
-    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
-      const std::size_t mid = std::min(lo + width, n);
-      const std::size_t hi = std::min(lo + 2 * width, n);
-      std::size_t i = lo, j = mid, k = lo;
-      // Left run wins ties: that is exactly the stability guarantee.
-      while (i < mid && j < hi) scratch[k++] = v[j].ue < v[i].ue ? v[j++] : v[i++];
-      while (i < mid) scratch[k++] = v[i++];
-      while (j < hi) scratch[k++] = v[j++];
-    }
-    std::copy(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(n),
-              v.begin());
-  }
-}
+/// Run the protocol over `scope` to completion. Every SP registers a relay
+/// on the run's bus (SPs are operators, not places). A BS broadcasts to
+/// the member UEs that list it as a candidate — the only UEs that ever
+/// read its levels. `view_crus`/`view_rrbs` (one word per candidate slot)
+/// and `b_u` are shared with concurrent runs over disjoint scopes: a run
+/// writes only its member UEs' slots and rows. Records phases, rounds and
+/// faults to the calling thread's recorders, but not termination or run
+/// metrics: those belong to the entry point, which may merge several runs.
+ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
+                         const NetworkConditions& net, const ProtocolScope& scope,
+                         std::vector<std::uint32_t>& view_crus,
+                         std::vector<std::uint32_t>& view_rrbs, LiveCandidates& b_u);
 
 }  // namespace dmra::runtime_detail

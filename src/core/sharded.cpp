@@ -1,8 +1,8 @@
-// Region-sharded decentralized DMRA (ROADMAP item 1): the arena is cut
-// into vertical strips, each strip runs the reliable single-bus protocol
-// over its own MessageBus in a worker shard, and boundary UEs — whose
-// candidate sets straddle a cut — are matched afterwards in one
-// deterministic reconcile pass against the residual resources.
+// Region-sharded decentralized DMRA: the arena is cut into vertical
+// strips, each strip runs the protocol engine (core/runtime_detail.hpp)
+// over its own members and MessageBus in a worker shard, and boundary
+// UEs — whose candidate sets straddle a cut — are matched afterwards in
+// one deterministic reconcile pass against the residual resources.
 //
 // Parallel-safety inventory (everything a shard touches concurrently):
 //  * Scenario, RegionPartition — immutable, shared read-only.
@@ -10,8 +10,8 @@
 //    belongs to exactly one UE and an interior UE to exactly one shard,
 //    so writes are disjoint by construction.
 //  * LiveCandidates — per-UE rows in a flat pool; same disjointness.
-//  * Everything else (bus, agents, snapshot ring, workspaces, outcome
-//    buffers) is shard-local.
+//  * Everything else (bus, agents, snapshot ring, workspaces, the run's
+//    own allocation) is local to the engine run.
 // No locks, no atomics; the parallel_map barrier publishes all writes.
 //
 // Determinism: shard outcomes are merged in region order and the
@@ -22,8 +22,7 @@
 #include "core/decentralized.hpp"
 
 #include <algorithm>
-#include <span>
-#include <utility>
+#include <string>
 
 #include "core/runtime_detail.hpp"
 #include "mec/audit.hpp"
@@ -34,301 +33,6 @@
 #include "util/thread_pool.hpp"
 
 namespace dmra {
-
-namespace {
-
-using runtime_detail::Bus;
-using runtime_detail::MsgDecision;
-using runtime_detail::MsgOffloadRequest;
-using runtime_detail::MsgPropose;
-using runtime_detail::MsgResourceUpdate;
-using runtime_detail::SnapshotRing;
-
-struct ShardUe {
-  UeId ue;
-  AgentId address;
-  AgentId sp_address;
-  bool matched = false;
-  bool at_cloud = false;
-};
-
-struct ShardBs {
-  BsId bs;
-  AgentId address;
-  BsLocalResources resources;
-  std::vector<AgentId> covered_ues;  // broadcast audience, member UEs only
-};
-
-/// Everything one shard hands back to the coordinating thread.
-struct ShardOutcome {
-  std::vector<std::pair<UeId, BsId>> assigned;
-  BusStats bus;
-  std::size_t rounds = 0;
-  std::size_t proposals = 0;
-  std::size_t rejections = 0;
-};
-
-/// The reliable single-bus protocol restricted to one region's members.
-/// Structurally a copy of run_decentralized_dmra's fault-free path: same
-/// phases, same messages, same decision code (choose_proposal_soa /
-/// bs_select) — which is why num_shards == 1 reproduces the oracle's
-/// allocation exactly. The fault/recovery machinery is deliberately
-/// absent (see run_sharded_dmra's doc comment).
-ShardOutcome run_shard(const Scenario& scenario, const DmraConfig& config,
-                       const RegionPartition& part, std::size_t region,
-                       std::vector<std::uint32_t>& view_crus,
-                       std::vector<std::uint32_t>& view_rrbs, LiveCandidates& b_u) {
-  ShardOutcome out;
-  const std::span<const UeId> member_ues = part.ues_in(region);
-  const std::span<const BsId> member_bss = part.bss_in(region);
-  if (member_ues.empty()) return out;  // nothing can match; skip the bus entirely
-
-  Bus bus;
-  const std::size_t nk = scenario.num_sps();
-
-  // Registration order (SPs, member UEs ascending, member BSs ascending)
-  // mirrors the oracle so the (recipient, seq) delivery order — and with
-  // it every inbox iteration — lines up at num_shards == 1.
-  std::vector<AgentId> sp_addr(nk);
-  for (std::size_t k = 0; k < nk; ++k) sp_addr[k] = bus.register_agent();
-
-  // Local member index per UE (kNotLocal elsewhere): the SP relay routes
-  // decisions by UeId, and audience building needs the member's address.
-  constexpr std::uint32_t kNotLocal = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> ue_local(scenario.num_ues(), kNotLocal);
-  std::vector<ShardUe> ue_agents;
-  ue_agents.reserve(member_ues.size());
-  for (const UeId u : member_ues) {
-    ShardUe a;
-    a.ue = u;
-    a.address = bus.register_agent();
-    a.sp_address = sp_addr[scenario.ue(u).sp.idx()];
-    ue_local[u.idx()] = static_cast<std::uint32_t>(ue_agents.size());
-    // Prefill this member's view slots with the static capacities — the
-    // optimistic prior the oracle grants a UE before the bootstrap wave.
-    const auto cands = scenario.candidates(u);
-    const std::size_t off = scenario.candidate_offset(u);
-    const std::size_t svc = scenario.ue(u).service.idx();
-    for (std::size_t c = 0; c < cands.size(); ++c) {
-      const BaseStation& bsc = scenario.bs(cands[c]);
-      view_crus[off + c] = bsc.cru_capacity[svc];
-      view_rrbs[off + c] = bsc.num_rrbs;
-    }
-    ue_agents.push_back(a);
-  }
-
-  // Local index of each member BS (kNotLocal for the rest of the arena);
-  // the SP relay uses it to route proposals, and an interior UE proposing
-  // outside its region would be a partition bug, not a routing miss.
-  std::vector<std::uint32_t> bs_local(scenario.num_bss(), kNotLocal);
-  std::vector<ShardBs> bs_agents(member_bss.size());
-  for (std::size_t bi = 0; bi < member_bss.size(); ++bi) {
-    ShardBs& a = bs_agents[bi];
-    a.bs = member_bss[bi];
-    a.address = bus.register_agent();
-    const BaseStation& b = scenario.bs(a.bs);
-    a.resources.crus = b.cru_capacity;
-    a.resources.rrbs = b.num_rrbs;
-    bs_local[a.bs.idx()] = static_cast<std::uint32_t>(bi);
-  }
-  // Broadcast audiences from the candidate sets (a UE only ever reads
-  // candidate slots, so covering-but-non-candidate broadcasts would be
-  // dead traffic): count, reserve, fill — UE-ascending per BS.
-  for (const UeId u : member_ues)
-    for (const BsId i : scenario.candidates(u)) {
-      DMRA_REQUIRE_MSG(bs_local[i.idx()] != kNotLocal,
-                       "interior UE with a candidate outside its region");
-      bs_agents[bs_local[i.idx()]].covered_ues.push_back(
-          ue_agents[ue_local[u.idx()]].address);
-    }
-
-  std::size_t sum_covered = 0;
-  for (const ShardBs& b : bs_agents) sum_covered += b.covered_ues.size();
-  bus.reserve(2 * member_ues.size() + sum_covered);
-
-  SnapshotRing arena(scenario.num_services(),
-                     std::max<std::size_t>(1, bs_agents.size() * 8));
-
-  obs::TraceRecorder* const rec = obs::recorder();
-  double traced_profit = 0.0;
-  if (rec != nullptr) {
-    rec->take_tally();
-    rec->set_round(0);
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kPhase;
-    e.label = "core/sharded:bootstrap";
-    e.value = bs_agents.size();
-    rec->record(e);
-  }
-
-  // ---- Bootstrap: every member BS broadcasts its initial levels.
-  for (ShardBs& b : bs_agents) {
-    const std::uint32_t snapshot = arena.publish(b.resources);
-    for (AgentId ue_addr : b.covered_ues)
-      bus.send(b.address, ue_addr, MsgResourceUpdate{b.bs, snapshot});
-    if (rec != nullptr) {
-      obs::TraceEvent e;
-      e.kind = obs::EventKind::kBroadcast;
-      e.bs = b.bs.value;
-      e.value = b.covered_ues.size();
-      rec->record(e);
-    }
-  }
-  bus.deliver();
-
-  const std::size_t round_limit =
-      config.max_rounds > 0 ? config.max_rounds : member_ues.size() + 1;
-
-  std::vector<ProposalInfo> fresh;
-  fresh.reserve(member_ues.size());
-  BsSelectWorkspace ws;
-  ws.reserve(scenario.num_services(), member_ues.size());
-
-  for (std::size_t round = 0; round < round_limit; ++round) {
-    const std::uint64_t msgs_before = bus.stats().messages_sent;
-    if (rec != nullptr) rec->set_round(round);
-
-    // ---- UE phase: ingest broadcasts & decisions, then propose.
-    std::size_t sent_this_round = 0;
-    for (ShardUe& a : ue_agents) {
-      const std::span<const BsId> cands = scenario.candidates(a.ue);
-      const std::size_t off = scenario.candidate_offset(a.ue);
-      const std::size_t svc = scenario.ue(a.ue).service.idx();
-      for (auto& env : bus.take_inbox(a.address)) {
-        if (auto* upd = std::get_if<MsgResourceUpdate>(&env.payload)) {
-          const auto it = std::lower_bound(cands.begin(), cands.end(), upd->bs);
-          if (it != cands.end() && *it == upd->bs) {
-            const std::size_t slot = off + static_cast<std::size_t>(it - cands.begin());
-            view_crus[slot] = arena.crus(upd->snapshot, svc);
-            view_rrbs[slot] = arena.rrbs(upd->snapshot);
-          }
-        } else if (auto* dec = std::get_if<MsgDecision>(&env.payload)) {
-          if (dec->accept) {
-            a.matched = true;
-          } else if (config.drop_rejected) {
-            b_u.erase_bs(scenario, a.ue, dec->bs);
-          }
-        }
-      }
-      if (a.matched || a.at_cloud) continue;
-      const auto view = [&view_crus, &view_rrbs](std::size_t slot, BsId) {
-        return std::pair<std::uint32_t, std::uint32_t>{view_crus[slot], view_rrbs[slot]};
-      };
-      const auto choice = choose_proposal_soa(scenario, b_u, a.ue, config.rho, view);
-      if (!choice) {
-        a.at_cloud = true;
-        continue;
-      }
-      const auto f_u = live_coverage_count_soa(scenario, a.ue, view);
-      bus.send(a.address, a.sp_address, MsgOffloadRequest{a.ue, *choice, f_u});
-      ++sent_this_round;
-      if (rec != nullptr) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::kProposal;
-        e.ue = a.ue.value;
-        e.bs = choice->value;
-        e.service = scenario.ue(a.ue).service.value;
-        e.value = f_u;
-        rec->record(e);
-      }
-    }
-    bus.deliver();
-    if (sent_this_round == 0) break;  // reliable bus: quiet means converged
-    out.proposals += sent_this_round;
-    ++out.rounds;
-
-    // ---- SP relay phase (up): forward offload requests to the BSs.
-    for (std::size_t k = 0; k < nk; ++k) {
-      for (auto& env : bus.take_inbox(sp_addr[k])) {
-        const auto& req = std::get<MsgOffloadRequest>(env.payload);
-        bus.send(sp_addr[k], bs_agents[bs_local[req.target.idx()]].address,
-                 MsgPropose{req.ue, req.f_u});
-      }
-    }
-    bus.deliver();
-
-    // ---- BS phase: select, commit locally, reply, broadcast.
-    std::size_t accepted_this_round = 0;
-    for (ShardBs& b : bs_agents) {
-      fresh.clear();
-      for (auto& env : bus.take_inbox(b.address)) {
-        const auto& p = std::get<MsgPropose>(env.payload);
-        fresh.push_back(ProposalInfo{p.ue, p.f_u});
-      }
-      if (fresh.empty()) continue;
-
-      const std::vector<UeId>& accepted =
-          bs_select(scenario, b.bs, fresh, b.resources, ws, config);
-      for (UeId u : accepted) {
-        const UserEquipment& e = scenario.ue(u);
-        const LinkStats& l = scenario.link(u, b.bs);
-        DMRA_REQUIRE(b.resources.crus[e.service.idx()] >= e.cru_demand);
-        DMRA_REQUIRE(b.resources.rrbs >= l.n_rrbs);
-        b.resources.crus[e.service.idx()] -= e.cru_demand;
-        b.resources.rrbs -= l.n_rrbs;
-        out.assigned.emplace_back(u, b.bs);
-        ++accepted_this_round;
-        if (rec != nullptr) traced_profit += scenario.pair_profit(u, b.bs);
-      }
-      for (const ProposalInfo& p : fresh) {
-        const bool ok = std::binary_search(accepted.begin(), accepted.end(), p.ue);
-        bus.send(b.address, sp_addr[scenario.ue(p.ue).sp.idx()],
-                 MsgDecision{p.ue, b.bs, ok});
-      }
-      const std::uint32_t snapshot = arena.publish(b.resources);
-      for (AgentId ue_addr : b.covered_ues)
-        bus.send(b.address, ue_addr, MsgResourceUpdate{b.bs, snapshot});
-      if (rec != nullptr) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::kBroadcast;
-        e.bs = b.bs.value;
-        e.value = b.covered_ues.size();
-        rec->record(e);
-      }
-    }
-    bus.deliver();
-    out.rejections += sent_this_round >= accepted_this_round
-                          ? sent_this_round - accepted_this_round
-                          : 0;
-
-    // ---- SP relay phase (down): forward decisions to the UEs.
-    for (std::size_t k = 0; k < nk; ++k) {
-      for (auto& env : bus.take_inbox(sp_addr[k])) {
-        const auto& dec = std::get<MsgDecision>(env.payload);
-        bus.send(sp_addr[k], ue_agents[ue_local[dec.ue.idx()]].address, dec);
-      }
-    }
-    bus.deliver();
-
-    if (rec != nullptr) {
-      const obs::EventTally tally = rec->take_tally();
-      obs::RoundRow row;
-      row.source = "core/sharded";
-      row.round = out.rounds - 1;
-      row.proposals = tally.proposals;
-      row.accepts = tally.accepts;
-      row.rejects = tally.rejects;
-      row.trim_evictions = tally.trim_evictions;
-      row.broadcasts = tally.broadcasts;
-      row.messages = bus.stats().messages_sent - msgs_before;
-      std::size_t settled = 0;
-      for (const ShardUe& a : ue_agents)
-        if (a.matched || a.at_cloud) ++settled;
-      row.unmatched_ues = ue_agents.size() - settled;
-      row.cumulative_profit = traced_profit;
-      for (const ShardBs& b : bs_agents) {
-        for (const std::uint32_t c : b.resources.crus) row.cru_headroom += c;
-        row.rrb_headroom += b.resources.rrbs;
-      }
-      rec->finish_round(row);
-    }
-  }
-
-  out.bus = bus.stats();
-  return out;
-}
-
-}  // namespace
 
 ShardedResult run_sharded_dmra(const Scenario& scenario, const DmraConfig& config,
                                const ShardConfig& shard) {
@@ -353,25 +57,38 @@ ShardedResult run_sharded_dmra(const Scenario& scenario, const DmraConfig& confi
   LiveCandidates b_u;
   b_u.build(scenario);
 
-  std::vector<ShardOutcome> outcomes = obs::traced_parallel_map(
+  const NetworkConditions reliable;
+  std::vector<runtime_detail::ProtocolRun> runs = obs::traced_parallel_map(
       jobs, nr, [&](std::size_t region) {
-        return run_shard(scenario, config, part, region, view_crus, view_rrbs, b_u);
+        // A region without UEs can match nothing; skip the bus entirely.
+        if (part.ues_in(region).empty()) return runtime_detail::ProtocolRun{};
+        return runtime_detail::run_protocol(
+            scenario, config, reliable,
+            {part.ues_in(region), part.bss_in(region), "core/sharded",
+             "core/sharded:bootstrap"},
+            view_crus, view_rrbs, b_u);
       });
 
   // ---- Merge in region order (deterministic for every jobs value).
   result.shard.rounds_per_shard.reserve(nr);
-  for (const ShardOutcome& o : outcomes) {
-    for (const auto& [u, bs] : o.assigned) result.dmra.allocation.assign(u, bs);
-    result.dmra.proposals_sent += o.proposals;
-    result.dmra.rejections += o.rejections;
-    result.shard.rounds_per_shard.push_back(o.rounds);
-    result.shard.max_shard_rounds = std::max(result.shard.max_shard_rounds, o.rounds);
+  for (std::size_t r = 0; r < nr; ++r) {
+    const DecentralizedResult& o = runs[r].result;
+    for (const UeId u : part.ues_in(r))
+      if (const auto bs = o.dmra.allocation.bs_of(u)) result.dmra.allocation.assign(u, *bs);
+    result.dmra.proposals_sent += o.dmra.proposals_sent;
+    result.dmra.rejections += o.dmra.rejections;
+    result.shard.rounds_per_shard.push_back(o.dmra.rounds);
+    result.shard.max_shard_rounds = std::max(result.shard.max_shard_rounds, o.dmra.rounds);
     result.bus.rounds += o.bus.rounds;
     result.bus.messages_sent += o.bus.messages_sent;
     result.bus.messages_delivered += o.bus.messages_delivered;
     result.bus.messages_dropped += o.bus.messages_dropped;
     result.bus.messages_duplicated += o.bus.messages_duplicated;
     result.bus.messages_delayed += o.bus.messages_delayed;
+    result.alloc.measured = result.alloc.measured || o.alloc.measured;
+    result.alloc.settle_rounds = std::max(result.alloc.settle_rounds, o.alloc.settle_rounds);
+    result.alloc.steady_state_allocations += o.alloc.steady_state_allocations;
+    result.alloc.total_allocations += o.alloc.total_allocations;
   }
   result.dmra.rounds = result.shard.max_shard_rounds;
 

@@ -33,9 +33,6 @@
 #include "mec/scenario.hpp"
 #include "mec/scenario_io.hpp"
 
-#include "matching/deferred_acceptance.hpp"
-#include "matching/stability.hpp"
-
 #include "market/adaptive_pricing.hpp"
 
 #include "mobility/handover.hpp"

@@ -2,9 +2,10 @@
 //
 // This binary (and only this binary, plus bench/perf_report) links
 // dmra_alloc_count, whose global operator new overrides count every heap
-// allocation on the calling thread. run_decentralized_dmra samples the
-// counter once per protocol round; after the settle window (pools grown
-// to their high-water marks) the matching loop must not allocate at all.
+// allocation on the calling thread. The protocol engine behind
+// run_decentralized_dmra and run_sharded_dmra samples the counter once
+// per protocol round; after the settle window (pools grown to their
+// high-water marks) the matching loop must not allocate at all.
 //
 // The dmra-lint hotpath rule proves no *unlicensed* growth calls exist in
 // the hot regions; this test proves the licensed ones (reserve-backed
@@ -154,6 +155,30 @@ TEST(AllocBudget, FaultedRunWithFlightRecorderIsAllocationFreeToo) {
   EXPECT_GT(flight.rounds_seen(), 0u);
   EXPECT_EQ(r.alloc.steady_state_allocations, 0u)
       << "faulted rounds with the flight recorder live must not touch the heap";
+}
+
+TEST(AllocBudget, ShardedSteadyStateIsAllocationFreeWithFlightRecorder) {
+  // The sharded runtime's shards run the same engine, so they inherit the
+  // budget: on the benchmark's dense deployment every shard's rounds past
+  // the settle window must not touch the heap, flight recorder live.
+  if (std::getenv("DMRA_AUDIT") != nullptr)
+    GTEST_SKIP() << "auditor snapshots allocate by design";
+  allocprobe::install();
+  obs::FlightRecorder flight;
+  obs::ScopedFlightRecorder scope(&flight);
+  ScenarioConfig cfg;
+  cfg.bss_per_sp = 20;
+  cfg.area_side_m = 3000.0;
+  cfg.num_ues = 2000;
+  const Scenario s = generate_scenario(cfg, 7);
+  const ShardedResult r = run_sharded_dmra(s, {}, {.num_shards = 3, .jobs = 1});
+  ASSERT_TRUE(r.alloc.measured);
+  ASSERT_EQ(r.shard.rounds_per_shard.size(), 3u);
+  for (const std::size_t rounds : r.shard.rounds_per_shard)
+    ASSERT_GT(rounds, r.alloc.settle_rounds) << "every shard must reach its steady state";
+  EXPECT_GT(flight.rounds_seen(), 0u);
+  EXPECT_EQ(r.alloc.steady_state_allocations, 0u)
+      << "shard rounds past the settle window must not touch the heap";
 }
 
 TEST(AllocBudget, CountersZeroWhenNotMeasuring) {

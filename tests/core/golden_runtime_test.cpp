@@ -23,6 +23,10 @@
 // short readmit period), pinning the event-log bytes and the readmission
 // outcome, so a rework of the serving loop is held to the same bar.
 //
+// ShardedByteIdenticalAcrossSeeds does the same for run_sharded_dmra:
+// two deployments per seed, pinning the allocation, profit bits, traffic
+// and round counters, and the reconcile pass's outcome.
+//
 // Regenerating (only legitimate after an intentional semantic change):
 //   DMRA_GOLDEN_REGEN=1 ./build/tests/core_test
 //     --gtest_filter='GoldenRuntime.*' 2>/dev/null
@@ -266,6 +270,120 @@ constexpr GoldenServingRow kGoldenServing[kSeeds] = {
     {10ull, 0xc32150c0d2a74365ull, 119ull, 35ull, 201ull, 0x40afac94e56cecc1ull},
 };
 
+// Sharded probe: run_sharded_dmra on two deployments per seed. The dense
+// one is the benchmark's (10x10 grid, 100 BSs in a 3000 m arena, about
+// 1500 UEs, 3 shards), where every shard runs several protocol rounds and
+// the boundary strips hand the reconcile pass real work; the paper one is
+// the 25-BS, 1200 m deployment at 4 shards, where most UEs straddle a cut.
+// Trace bytes are not pinned: the round rows' unmatched_ues column is the
+// engine's, not the pass's.
+struct GoldenShardedCase {
+  std::uint64_t alloc_hash;  ///< FNV-1a over each UE's BS value (cloud = ~0)
+  std::uint64_t profit_bits;
+  std::uint64_t messages_sent;
+  std::uint64_t bus_rounds;
+  std::uint64_t proposals_sent;
+  std::uint64_t rejections;
+  std::uint64_t rounds_hash;  ///< FNV-1a over rounds_per_shard
+  std::uint64_t boundary_reconciled;
+  std::uint64_t reconcile_rounds;
+};
+
+struct GoldenShardedRow {
+  std::uint64_t seed;
+  GoldenShardedCase dense;
+  GoldenShardedCase paper;
+};
+
+std::uint64_t fnv1a_words(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+GoldenShardedCase run_sharded_probe(const Scenario& s, std::size_t shards) {
+  const ShardedResult r = run_sharded_dmra(s, {}, ShardConfig{shards, 1});
+  GoldenShardedCase c{};
+  c.alloc_hash = 1469598103934665603ull;
+  for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
+    const auto bs = r.dmra.allocation.bs_of(UeId{static_cast<std::uint32_t>(ui)});
+    c.alloc_hash = fnv1a_words(c.alloc_hash, bs ? bs->value : ~std::uint64_t{0});
+  }
+  c.profit_bits = profit_bits(s, r.dmra.allocation);
+  c.messages_sent = r.bus.messages_sent;
+  c.bus_rounds = r.bus.rounds;
+  c.proposals_sent = r.dmra.proposals_sent;
+  c.rejections = r.dmra.rejections;
+  c.rounds_hash = 1469598103934665603ull;
+  for (const std::size_t rounds : r.shard.rounds_per_shard)
+    c.rounds_hash = fnv1a_words(c.rounds_hash, rounds);
+  c.boundary_reconciled = r.shard.boundary_ues_reconciled;
+  c.reconcile_rounds = r.shard.reconcile_rounds;
+  return c;
+}
+
+GoldenShardedRow run_sharded_probes(std::uint64_t seed) {
+  ScenarioConfig dense;
+  dense.bss_per_sp = 20;
+  dense.area_side_m = 3000.0;
+  dense.num_ues = 1500;
+  ScenarioConfig paper;
+  paper.num_ues = kUes;
+  return {seed, run_sharded_probe(generate_scenario(dense, seed), 3),
+          run_sharded_probe(generate_scenario(paper, seed), 4)};
+}
+
+void print_sharded_case(const GoldenShardedCase& c) {
+  std::printf("{0x%llxull, 0x%llxull, %lluull, %lluull, %lluull, %lluull, 0x%llxull, "
+              "%lluull, %lluull}",
+              static_cast<unsigned long long>(c.alloc_hash),
+              static_cast<unsigned long long>(c.profit_bits),
+              static_cast<unsigned long long>(c.messages_sent),
+              static_cast<unsigned long long>(c.bus_rounds),
+              static_cast<unsigned long long>(c.proposals_sent),
+              static_cast<unsigned long long>(c.rejections),
+              static_cast<unsigned long long>(c.rounds_hash),
+              static_cast<unsigned long long>(c.boundary_reconciled),
+              static_cast<unsigned long long>(c.reconcile_rounds));
+}
+
+// Generated from the runtime whose shards ran their own copy of the
+// protocol; the shared engine must reproduce every field.
+constexpr GoldenShardedRow kGoldenSharded[kSeeds] = {
+    {1ull,
+     {0x176aa83cda069bcbull, 0x40d18d31f4c84f18ull, 33756ull, 78ull, 2855ull, 1355ull, 0x9bdda013390fa2e7ull, 671ull, 8ull},
+     {0xff8a724ae9201d27ull, 0x40abb79a071e8d22ull, 630ull, 18ull, 599ull, 299ull, 0x9306d3c1f49ead87ull, 270ull, 6ull}},
+    {2ull,
+     {0xcbaaf6b494867cc2ull, 0x40d186c4a75462a4ull, 33636ull, 74ull, 2967ull, 1467ull, 0x6c767d4060d250aeull, 676ull, 6ull},
+     {0xf0fb77dbf97cc52full, 0x40ac4a5464eab740ull, 528ull, 14ull, 575ull, 275ull, 0xba2b6282a813a6a0ull, 272ull, 6ull}},
+    {3ull,
+     {0xda92cd981eabf146ull, 0x40d1a2fa90fafb65ull, 33896ull, 78ull, 2963ull, 1463ull, 0x73873386e3647507ull, 673ull, 9ull},
+     {0x885c8afe18d340abull, 0x40abe6a33c0c28ddull, 543ull, 10ull, 590ull, 290ull, 0xd926298bb302f0c1ull, 272ull, 6ull}},
+    {4ull,
+     {0xc860feaaadeb2c85ull, 0x40d19ff630e23288ull, 33850ull, 74ull, 2830ull, 1330ull, 0x848fbb3ce09af906ull, 663ull, 6ull},
+     {0xdcc1425f1dc3b9bfull, 0x40ac5d895fe42c9aull, 744ull, 14ull, 582ull, 282ull, 0xba2b6282a813a6a0ull, 264ull, 6ull}},
+    {5ull,
+     {0xab75f9155664d824ull, 0x40d1bc898db472d5ull, 31885ull, 78ull, 2906ull, 1406ull, 0x8fa7d380717709e9ull, 703ull, 8ull},
+     {0x3c8ea957e69bdf80ull, 0x40acbd7fabdc02e4ull, 428ull, 14ull, 618ull, 318ull, 0xba2b6282a813a6a0ull, 275ull, 7ull}},
+    {6ull,
+     {0xa48ac81062182aa2ull, 0x40d17ee261906c39ull, 32720ull, 74ull, 2913ull, 1413ull, 0x848fbb3ce09af906ull, 696ull, 6ull},
+     {0x593379d0edfbb085ull, 0x40acaf3017c53a05ull, 501ull, 14ull, 615ull, 315ull, 0xba2b6282a813a6a0ull, 274ull, 8ull}},
+    {7ull,
+     {0xdc64f3ba6fc73537ull, 0x40d1c98d214a66d1ull, 32732ull, 70ull, 2962ull, 1462ull, 0xd9ba61cad2ab8d01ull, 675ull, 8ull},
+     {0xbd53e67183d08f5dull, 0x40ac741111ee1faaull, 818ull, 18ull, 609ull, 309ull, 0x9306d3c1f49ead87ull, 265ull, 7ull}},
+    {8ull,
+     {0xb351cec47b7330ceull, 0x40d17047f841c4eeull, 33549ull, 70ull, 2951ull, 1451ull, 0xd9ba61cad2ab8d01ull, 681ull, 9ull},
+     {0xc91fe258202e1687ull, 0x40ac03b1bf212ea0ull, 726ull, 18ull, 560ull, 260ull, 0x9306d3c1f49ead87ull, 269ull, 6ull}},
+    {9ull,
+     {0xdf46039df1c98c1ull, 0x40d17e01dfacc9a2ull, 33371ull, 86ull, 3012ull, 1512ull, 0x6c2f3f021fcd878dull, 696ull, 7ull},
+     {0x250a61753595c365ull, 0x40ac379665f91198ull, 678ull, 14ull, 591ull, 291ull, 0xba2b6282a813a6a0ull, 266ull, 9ull}},
+    {10ull,
+     {0x6967aff65a856fdull, 0x40d1a62e516110c8ull, 30183ull, 74ull, 2863ull, 1363ull, 0x548c6c7dd8752ae6ull, 710ull, 8ull},
+     {0xa290181e70fdcb00ull, 0x40ac020042f58f58ull, 283ull, 10ull, 651ull, 351ull, 0xd926298bb302f0c1ull, 283ull, 8ull}},
+};
+
 // See BusFaultStreamPinned below; regenerated alongside kGolden.
 constexpr std::uint64_t kBusFaultStreamHash = 0x4fdb0e93353ec4adull;
 
@@ -333,6 +451,44 @@ TEST(GoldenRuntime, ServingByteIdenticalAcrossSeeds) {
     EXPECT_EQ(got.final_profit_bits, want.final_profit_bits);
   }
   if (regen) GTEST_SKIP() << "regen mode: rows printed to stdout";
+}
+
+void expect_sharded_case(const GoldenShardedCase& got, const GoldenShardedCase& want) {
+  EXPECT_EQ(got.alloc_hash, want.alloc_hash);
+  EXPECT_EQ(got.profit_bits, want.profit_bits);
+  EXPECT_EQ(got.messages_sent, want.messages_sent);
+  EXPECT_EQ(got.bus_rounds, want.bus_rounds);
+  EXPECT_EQ(got.proposals_sent, want.proposals_sent);
+  EXPECT_EQ(got.rejections, want.rejections);
+  EXPECT_EQ(got.rounds_hash, want.rounds_hash);
+  EXPECT_EQ(got.boundary_reconciled, want.boundary_reconciled);
+  EXPECT_EQ(got.reconcile_rounds, want.reconcile_rounds);
+}
+
+TEST(GoldenRuntime, ShardedByteIdenticalAcrossSeeds) {
+  if (std::getenv("DMRA_GOLDEN_REGEN") != nullptr) {
+    for (int seed = 1; seed <= kSeeds; ++seed) {
+      const GoldenShardedRow r = run_sharded_probes(static_cast<std::uint64_t>(seed));
+      std::printf("    {%lluull,\n     ", static_cast<unsigned long long>(r.seed));
+      print_sharded_case(r.dense);
+      std::printf(",\n     ");
+      print_sharded_case(r.paper);
+      std::printf("},\n");
+    }
+    GTEST_SKIP() << "regen mode: rows printed to stdout";
+  }
+  for (const GoldenShardedRow& want : kGoldenSharded) {
+    const GoldenShardedRow got = run_sharded_probes(want.seed);
+    SCOPED_TRACE("seed " + std::to_string(want.seed));
+    {
+      SCOPED_TRACE("dense deployment, 3 shards");
+      expect_sharded_case(got.dense, want.dense);
+    }
+    {
+      SCOPED_TRACE("paper deployment, 4 shards");
+      expect_sharded_case(got.paper, want.paper);
+    }
+  }
 }
 
 // Bus-level pin of the full fault draw order (drop → duplicate → delay)

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "../test_util.hpp"
+#include "check/invariant_auditor.hpp"
 #include "core/decentralized.hpp"
 #include "mec/allocation.hpp"
+#include "obs/flight.hpp"
+#include "obs/recorder.hpp"
 #include "sim/feasibility.hpp"
 #include "workload/generator.hpp"
 
@@ -20,6 +25,26 @@ Scenario paper_scenario(std::size_t ues, std::uint64_t seed) {
   ScenarioConfig cfg;
   cfg.num_ues = ues;
   return generate_scenario(cfg, seed);
+}
+
+/// The benchmark's deployment density: a 10x10 grid of 100 BSs in a
+/// 3000 m arena, where strips are wider than the coverage diameter and
+/// every shard has interior UEs to match.
+Scenario dense_scenario(std::size_t ues, std::uint64_t seed) {
+  ScenarioConfig cfg;
+  cfg.bss_per_sp = 20;
+  cfg.area_side_m = 3000.0;
+  cfg.num_ues = ues;
+  return generate_scenario(cfg, seed);
+}
+
+/// A round CSV with every row's source column removed.
+std::string strip_source(const std::string& csv) {
+  std::istringstream in(csv);
+  std::string out;
+  for (std::string line; std::getline(in, line);)
+    out += line.substr(line.find(',')) + "\n";
+  return out;
 }
 
 TEST(RegionPartitionTest, MembershipIsAPartition) {
@@ -106,18 +131,88 @@ TEST(RegionPartitionTest, DegenerateScenarios) {
 }
 
 TEST(Sharded, SingleShardMatchesOracleExactly) {
+  // One region is the oracle's scope minus the cloud-only UEs, which never
+  // propose and are in no broadcast audience: same allocation, same
+  // traffic, and the same round rows under a different source label.
   for (const std::size_t ues : {150u, 500u}) {
-    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      SCOPED_TRACE("ues=" + std::to_string(ues) + " seed=" + std::to_string(seed));
       const Scenario s = paper_scenario(ues, seed);
-      const DecentralizedResult oracle = run_decentralized_dmra(s);
-      const ShardedResult sharded = run_sharded_dmra(s, {}, {.num_shards = 1});
-      EXPECT_EQ(sharded.dmra.allocation, oracle.dmra.allocation)
-          << "ues=" << ues << " seed=" << seed;
+      obs::TraceRecorder oracle_rec;
+      obs::TraceRecorder sharded_rec;
+      DecentralizedResult oracle;
+      ShardedResult sharded;
+      {
+        obs::ScopedTraceRecorder install(&oracle_rec);
+        oracle = run_decentralized_dmra(s);
+      }
+      {
+        obs::ScopedTraceRecorder install(&sharded_rec);
+        sharded = run_sharded_dmra(s, {}, {.num_shards = 1});
+      }
+      EXPECT_EQ(sharded.dmra.allocation, oracle.dmra.allocation);
       EXPECT_EQ(sharded.dmra.rounds, oracle.dmra.rounds);
       EXPECT_EQ(sharded.dmra.proposals_sent, oracle.dmra.proposals_sent);
+      EXPECT_EQ(sharded.dmra.rejections, oracle.dmra.rejections);
+      EXPECT_EQ(sharded.bus.messages_sent, oracle.bus.messages_sent);
+      EXPECT_EQ(sharded.bus.rounds, oracle.bus.rounds);
       EXPECT_EQ(sharded.shard.boundary_ues, 0u);
       EXPECT_EQ(sharded.shard.reconcile_rounds, 0u);
+      ASSERT_FALSE(oracle_rec.rows().empty());
+      EXPECT_EQ(sharded_rec.rows().front().source, "core/sharded");
+      EXPECT_EQ(strip_source(sharded_rec.to_round_csv()),
+                strip_source(oracle_rec.to_round_csv()));
     }
+  }
+}
+
+TEST(Sharded, TracedRunIsJobsInvariantAndAuditClean) {
+  // Everything a traced sharded run exports — the Chrome trace, the round
+  // CSV, and the flight recorder's post-mortem — must not depend on the
+  // worker count, and the per-round ledger audit must hold inside every
+  // shard (the auditor slot is per thread, so jobs = 1 audits them all).
+  const Scenario s = dense_scenario(800, 5);
+  std::string trace;
+  std::string csv;
+  std::string postmortem;
+  for (const std::size_t jobs : {1u, 2u, 8u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    obs::TraceRecorder rec;
+    obs::FlightRecorder flight;
+    check::InvariantAuditor auditor({.throw_on_violation = false});
+    ShardedResult res;
+    {
+      obs::ScopedTraceRecorder install_rec(&rec);
+      obs::ScopedFlightRecorder install_flight(&flight);
+      audit::ScopedAuditObserver install_audit(&auditor);
+      res = run_sharded_dmra(s, {}, {.num_shards = 4, .jobs = jobs});
+    }
+    EXPECT_TRUE(auditor.findings().ok) << auditor.findings();
+    EXPECT_TRUE(check_feasibility(s, res.dmra.allocation).ok);
+    ASSERT_EQ(res.shard.num_shards, 4u);
+    // At 4 strips over this arena the inner strips are narrower than the
+    // coverage diameter and hold no interior UEs; the outer ones run the
+    // protocol for several rounds each.
+    std::size_t shard_rounds = 0;
+    std::size_t busy_shards = 0;
+    for (const std::size_t rounds : res.shard.rounds_per_shard) {
+      shard_rounds += rounds;
+      if (rounds > 1) ++busy_shards;
+    }
+    EXPECT_GE(busy_shards, 2u);
+    EXPECT_GT(res.shard.boundary_ues_reconciled, 0u);
+    EXPECT_EQ(flight.rounds_seen(), shard_rounds);
+    if (jobs == 1) {
+      // Every shard round plus the final feasibility audit.
+      EXPECT_EQ(auditor.rounds_audited(), shard_rounds + 1);
+      trace = rec.to_chrome_trace_json();
+      csv = rec.to_round_csv();
+      postmortem = flight.postmortem_json();
+      continue;
+    }
+    EXPECT_EQ(rec.to_chrome_trace_json(), trace);
+    EXPECT_EQ(rec.to_round_csv(), csv);
+    EXPECT_EQ(flight.postmortem_json(), postmortem);
   }
 }
 

@@ -35,22 +35,16 @@ void BM_PreferenceEval(benchmark::State& state) {
   cfg.num_ues = 500;
   const dmra::Scenario scenario = dmra::generate_scenario(cfg, 3);
   const dmra::ResourceState rs(scenario);
-  struct View final : dmra::ResourceView {
-    const dmra::ResourceState* rs;
-    std::uint32_t remaining_crus(dmra::BsId i, dmra::ServiceId j) const override {
-      return rs->remaining_crus(i, j);
-    }
-    std::uint32_t remaining_rrbs(dmra::BsId i) const override {
-      return rs->remaining_rrbs(i);
-    }
-  } view;
-  view.rs = &rs;
   std::size_t ui = 0;
   for (auto _ : state) {
     const dmra::UeId u{static_cast<std::uint32_t>(ui % scenario.num_ues())};
+    const dmra::ServiceId j = scenario.ue(u).service;
+    const auto cands = scenario.candidates(u);
+    const auto prices = scenario.candidate_prices(u);
     double acc = 0.0;
-    for (dmra::BsId i : scenario.candidates(u))
-      acc += dmra::ue_preference_value(scenario, view, u, i, 100.0);
+    for (std::size_t k = 0; k < cands.size(); ++k)
+      acc += dmra::ue_preference_value(prices[k], 100.0, rs.remaining_crus(cands[k], j),
+                                       rs.remaining_rrbs(cands[k]));
     benchmark::DoNotOptimize(acc);
     ++ui;
   }

@@ -49,9 +49,10 @@ int main(int argc, char** argv) {
                "protocol (UE→SP→BS proposals, BS decisions, resource broadcasts) carries\n"
                "exactly the information Alg. 1 needs, and nothing more.\n\n";
 
-  // Part 2: the same protocol on a lossy network. Safety (feasibility, no
-  // double-commit) is preserved by idempotent re-acks; quality degrades
-  // gracefully with the drop rate.
+  // Part 2: the same protocol on a lossy network, described by a fault
+  // plan that only drops messages. Safety (feasibility, no double-commit)
+  // is preserved by idempotent re-acks; quality degrades gracefully with
+  // the drop rate.
   dmra::ScenarioConfig cfg;
   cfg.num_ues = 500;
   const dmra::Scenario scenario = dmra::generate_scenario(cfg, seed);
@@ -62,9 +63,10 @@ int main(int argc, char** argv) {
   dmra::Table lossy({"drop rate", "profit vs reliable", "served", "rounds", "messages",
                      "dropped"});
   for (double drop : {0.0, 0.1, 0.25, 0.4}) {
+    dmra::FaultPlan loss;
+    loss.link.drop_probability = drop;
     const dmra::DecentralizedResult r = dmra::run_decentralized_dmra(
-        scenario, dmra_cfg,
-        dmra::NetworkConditions{.drop_probability = drop, .seed = seed});
+        scenario, dmra_cfg, dmra::NetworkConditions{.seed = seed, .faults = &loss});
     lossy.add_row({dmra::fmt(drop, 2),
                    dmra::fmt(100.0 * dmra::total_profit(scenario, r.dmra.allocation) /
                              clean_profit, 1) + "%",

@@ -140,7 +140,7 @@ void stable_sort_by_ue(std::vector<ProposalInfo>& v, std::vector<ProposalInfo>& 
 // the BSs' static capacities — the optimistic prior a UE is allowed to
 // hold for a candidate it has not heard from (possible only on a lossy
 // network; the reliable bootstrap covers everyone), and the safe one: a
-// pessimistic prior would make choose_proposal erase a live candidate
+// pessimistic prior would make choose_proposal_soa erase a live candidate
 // permanently. Broadcast ingest overwrites the slot with the ring values
 // in arrival order, which is exactly the last-write-wins the old
 // lazily-dereferenced per-UE snapshot view computed.
@@ -152,7 +152,7 @@ struct UeAgent {
   bool matched = false;
   bool at_cloud = false;
 
-  // Fault-mode bookkeeping, all inert unless a FaultPlan injects faults.
+  // Crash-recovery bookkeeping, inert unless the plan schedules outages.
   BsId last_target{};            ///< BS of the most recent proposal
   bool awaiting = false;         ///< proposal outstanding, no decision heard
   std::uint32_t unanswered = 0;  ///< consecutive silent round trips to last_target
@@ -188,46 +188,48 @@ struct BsAgent {
 /// Global id → scope position; kNotLocal for agents outside the scope.
 constexpr std::uint32_t kNotLocal = 0xFFFFFFFFu;
 
+/// Crash recovery bounds (armed only by a plan with BS outages). A UE
+/// re-proposes to the same silent BS at most kMaxReproposals consecutive
+/// times before it presumes the BS dead and erases it from its candidate
+/// list. A matched UE that hears nothing from its serving BS for more
+/// than kSuspectAfter consecutive rounds suspects a crash and re-enters
+/// the matching: live BSs rebroadcast every round, so silence is a strong
+/// crash signal, and a false suspicion is healed by the BS's re-ack.
+constexpr std::uint32_t kMaxReproposals = 3;
+constexpr std::uint32_t kSuspectAfter = 3;
+
 using runtime_detail::ProtocolRun;
 using runtime_detail::ProtocolScope;
 
 /// The engine body, instantiated twice from one source. run_protocol
-/// picks kUnreliable from its NetworkConditions: false (a reliable bus and
-/// no fault plan) folds every loss and fault branch out of the round
+/// picks kUnreliable from its NetworkConditions: false (no fault plan, or
+/// one that injects nothing) folds every fault branch out of the round
 /// loop, which keeps shards as fast as a fault-free copy of the loop.
+/// true arms what any unreliable network needs — re-acks, every-round
+/// rebroadcasts, proposal dedupe, relaxed audits — and the plan's outages
+/// alone arm crash recovery (`crashes` below).
 template <bool kUnreliable>
 ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
                       const NetworkConditions& net, const ProtocolScope& scope,
                       std::vector<std::uint32_t>& view_crus,
                       std::vector<std::uint32_t>& view_rrbs, LiveCandidates& b_u) {
-  const bool lossy = kUnreliable && net.drop_probability > 0.0;
   const FaultPlan* const plan = net.faults;
-  const bool faulty = kUnreliable && plan != nullptr && plan->any();
-  if (faulty) {
-    plan->validate(scenario.num_bss());
-    DMRA_REQUIRE_MSG(net.drop_probability == 0.0,
-                     "NetworkConditions::drop_probability and a FaultPlan are mutually "
-                     "exclusive — put the loss rate in FaultPlan::link instead");
-  }
-  // "unreliable" gates every defensive behaviour shared by the legacy
-  // lossy path and the fault-plan path (re-acks, rebroadcasts, relaxed
-  // audits). "faulty" alone gates the recovery machinery.
-  const bool unreliable = lossy || faulty;
+  if (kUnreliable) plan->validate(scenario.num_bss());
+  const bool crashes = kUnreliable && !plan->outages.empty();
+  const std::size_t max_delay =
+      kUnreliable && plan->link.delay_probability > 0.0
+          ? static_cast<std::size_t>(plan->link.max_delay_rounds)
+          : 0;
   // Under link faults a UE's proposal can reach a BS in several
   // generations at once (the fresh send, a duplicate copy, and delayed
   // originals from up to max_delay_rounds earlier rounds); every
   // proposal-sized pool is reserved with this headroom so faulted rounds
   // stay allocation-free. Without faults the bound is one per UE.
-  const std::size_t generations =
-      faulty && plan->link.any()
-          ? 2 + (plan->link.delay_probability > 0.0
-                     ? static_cast<std::size_t>(plan->link.max_delay_rounds)
-                     : 0)
-          : 1;
+  const bool link_faults = kUnreliable && plan->link.any();
+  const std::size_t generations = link_faults ? 2 + max_delay : 1;
 
   Bus bus;
-  if (lossy) bus.set_loss(net.drop_probability, net.seed);
-  if (faulty && plan->link.any()) bus.set_faults(plan->link, net.seed);
+  if (link_faults) bus.set_faults(plan->link, net.seed);
   const std::size_t nu = scope.ues.size();
   const std::size_t nb = scope.bss.size();
   const std::size_t nk = scenario.num_sps();
@@ -237,8 +239,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
   // rounds plus whatever delay faults can add, during which every live BS
   // publishes at most once per round. 8 rounds of slack is far beyond
   // that window; an eviction would trip the ring's stamp check.
-  const std::size_t ring_cap = std::max<std::size_t>(
-      1, nb * (8 + (faulty ? static_cast<std::size_t>(plan->link.max_delay_rounds) : 0)));
+  const std::size_t ring_cap = std::max<std::size_t>(1, nb * (8 + max_delay));
   SnapshotRing arena(scenario.num_services(), ring_cap);
   std::vector<UeAgent> ue_agents(nu);
   std::vector<SpAgent> sp_agents(nk);
@@ -279,7 +280,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
     const BaseStation& b = scenario.bs(a.bs);
     a.resources.crus = b.cru_capacity;
     a.resources.rrbs = b.num_rrbs;
-    if (unreliable) a.admitted.assign(nu, false);
+    if (kUnreliable) a.admitted.assign(nu, false);
   }
   // Broadcast audiences, by inverting the candidate lists (UE-ascending
   // per BS, because the UEs are visited in order).
@@ -360,30 +361,27 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
   }
   bus.deliver();
 
-  // On a lossy network a round can lose every proposal it carried, so the
-  // |U|+1 bound no longer holds exactly; give retries headroom. A fault
-  // plan additionally needs the run to outlive its schedule (a crash at
-  // round r must fire even if matching would have converged at r-1) plus
-  // headroom for the recovery machinery to settle.
+  // On an unreliable network a round can lose every proposal it carried,
+  // so the |U|+1 bound no longer holds exactly; give retries headroom, and
+  // outlive the plan's schedule (a crash at round r must fire even if
+  // matching would have converged at r-1) plus headroom for the recovery
+  // machinery to settle.
   const std::size_t round_limit =
       config.max_rounds > 0
           ? config.max_rounds
-          : (faulty ? 2 * nu + 64 + plan->schedule_horizon()
-                    : (lossy ? 2 * nu + 16 : nu + 1));
+          : (kUnreliable ? 2 * nu + 64 + plan->schedule_horizon() : nu + 1);
 
   // Under faults a quiet round (no proposals) is not proof of convergence:
-  // a delayed message may still be in flight, a scheduled crash may be
-  // about to orphan someone, or a suspicion countdown may be about to
-  // release a silently-orphaned UE. Require enough consecutive quiet
-  // rounds to outlast every countdown, an empty bus, and a spent schedule.
+  // a delayed proposal may still be on its two hops to a BS, a scheduled
+  // fault may be about to orphan someone, or a suspicion countdown may be
+  // about to release a silently-orphaned UE. Require enough consecutive
+  // quiet rounds to outlast the delay window and every countdown, and a
+  // spent schedule. A message still parked once no UE proposes (typically
+  // a rebroadcast) cannot create new work, so the bus need not be empty.
   const std::size_t quiet_grace =
-      faulty ? std::max<std::size_t>(
-                   net.recovery.suspect_after + 2,
-                   plan->link.delay_probability > 0.0
-                       ? static_cast<std::size_t>(plan->link.max_delay_rounds) + 1
-                       : 0)
-             : 0;
+      std::max<std::size_t>(crashes ? kSuspectAfter + 2 : 0, max_delay > 0 ? max_delay + 1 : 0);
   const auto schedule_ahead = [&](std::size_t round) {
+    if (!kUnreliable) return false;
     for (const BsOutage& o : plan->outages) {
       if (o.crash_round > round) return true;
       if (o.recover_round != kNeverRecovers && o.recover_round > round) return true;
@@ -438,7 +436,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
     // the authoritative allocation, but UEs only ever learn of a fault
     // through the protocol (silence, lost decisions) — that is what is
     // under test.
-    if (faulty) {
+    if (kUnreliable) {
       for (const BsOutage& o : plan->outages) {
         const std::uint32_t lb = bs_local[o.bs.idx()];
         if (lb == kNotLocal) continue;
@@ -498,9 +496,9 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
             view_crus[slot] = arena.crus(upd->snapshot, svc);
             view_rrbs[slot] = arena.rrbs(upd->snapshot);
           }
-          if (faulty && a.has_serving && upd->bs == a.serving_bs) a.heard_serving = true;
+          if (crashes && a.has_serving && upd->bs == a.serving_bs) a.heard_serving = true;
         } else if (auto* dec = std::get_if<MsgDecision>(&env.payload)) {
-          if (faulty) {
+          if (crashes) {
             if (a.awaiting && dec->bs == a.last_target) {
               a.awaiting = false;
               a.unanswered = 0;
@@ -509,7 +507,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
           }
           if (dec->accept) {
             a.matched = true;
-            if (faulty) {
+            if (crashes) {
               a.serving_bs = dec->bs;
               a.has_serving = true;
               a.serving_silence = 0;
@@ -524,10 +522,10 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
       // round, so sustained silence from the serving BS means it is down.
       // A false alarm (broadcasts dropped several rounds in a row) only
       // costs quality: the UE re-proposes and the live BS re-acks.
-      if (faulty && a.matched && a.has_serving) {
+      if (crashes && a.matched && a.has_serving) {
         if (a.heard_serving) {
           a.serving_silence = 0;
-        } else if (++a.serving_silence > net.recovery.suspect_after) {
+        } else if (++a.serving_silence > kSuspectAfter) {
           a.matched = false;
           a.has_serving = false;
           a.serving_silence = 0;
@@ -538,13 +536,13 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
       }
       if (a.matched || a.at_cloud) continue;
       // Bounded re-propose: an unanswered proposal is retried, but only
-      // max_reproposals times against the same silent BS before the UE
+      // kMaxReproposals times against the same silent BS before the UE
       // presumes it dead and moves down its list. This is what turns a
       // black-holed BS from a livelock into a mere preference downgrade.
-      if (faulty && a.awaiting) {
+      if (crashes && a.awaiting) {
         ++a.unanswered;
         ++result.recovery.reproposals;
-        if (a.unanswered >= net.recovery.max_reproposals) {
+        if (a.unanswered >= kMaxReproposals) {
           b_u.erase_bs(scenario, a.ue, a.last_target);
           a.awaiting = false;
           a.unanswered = 0;
@@ -564,7 +562,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
       const auto f_u = live_coverage_count_soa(scenario, a.ue, view);
       bus.send(a.address, a.sp_address, MsgOffloadRequest{a.ue, *choice, f_u});
       ++sent_this_round;
-      if (faulty) {
+      if (crashes) {
         if (a.last_target != *choice) a.unanswered = 0;
         a.last_target = *choice;
         a.awaiting = true;
@@ -582,13 +580,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
     // dmra::hotpath end(ue-propose)
     bus.deliver();
     if (sent_this_round == 0) {
-      if (!faulty) {
-        run.converged = true;
-        sample_round(round);
-        break;
-      }
-      ++quiet_rounds;
-      if (quiet_rounds > quiet_grace && bus.in_flight() == 0 && !schedule_ahead(round)) {
+      if (++quiet_rounds > quiet_grace && !schedule_ahead(round)) {
         run.converged = true;
         sample_round(round);
         break;
@@ -625,7 +617,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
       // A crashed BS is a black hole: proposals die in its inbox and no
       // decision or broadcast ever leaves. UEs must discover this through
       // the protocol (bounded re-propose, serving-BS suspicion).
-      if (faulty && !b.alive) {
+      if (kUnreliable && !b.alive) {
         bus.take_inbox(b.address);
         continue;
       }
@@ -635,7 +627,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
         const auto& p = std::get<MsgPropose>(env.payload);
         // A UE this BS already admitted can only re-propose because the
         // accept got lost: re-ack idempotently, never commit twice.
-        if (unreliable && b.admitted[ue_local[p.ue.idx()]]) {
+        if (kUnreliable && b.admitted[ue_local[p.ue.idx()]]) {
           reacks.push_back(p.ue);
         } else {
           fresh.push_back(ProposalInfo{p.ue, p.f_u});
@@ -643,7 +635,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
       }
       // Duplication/delay can land two generations of the same UE's
       // proposal in one inbox; admit (and answer) each UE at most once.
-      if (faulty && fresh.size() > 1) {
+      if (kUnreliable && fresh.size() > 1) {
         stable_sort_by_ue(fresh, sort_scratch);
         fresh.erase(std::unique(fresh.begin(), fresh.end(),
                                 [](const ProposalInfo& x, const ProposalInfo& y) {
@@ -651,7 +643,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
                                 }),
                     fresh.end());
       }
-      if (fresh.empty() && reacks.empty() && !unreliable) continue;
+      if (fresh.empty() && reacks.empty() && !kUnreliable) continue;
 
       const std::vector<UeId>& accepted =
           fresh.empty() ? empty_accepts
@@ -665,13 +657,13 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
         b.resources.crus[e.service.idx()] -= e.cru_demand;
         b.resources.rrbs -= l.n_rrbs;
         result.dmra.allocation.assign(u, b.bs);
-        if (unreliable) b.admitted[ue_local[u.idx()]] = true;
+        if (kUnreliable) b.admitted[ue_local[u.idx()]] = true;
         ++accepted_this_round;
         if (rec != nullptr) traced_profit += scenario.pair_profit(u, b.bs);
         // Recovery accounting (run-level bookkeeping, not agent knowledge:
         // the BS cannot tell an orphan from a first-time proposer, which
         // is the point — re-admission needs no special message).
-        if (faulty && ue_agents[ue_local[u.idx()]].needs_repair) {
+        if (crashes && ue_agents[ue_local[u.idx()]].needs_repair) {
           ue_agents[ue_local[u.idx()]].needs_repair = false;
           ++result.recovery.repaired_in_protocol;
           result.recovery.recovered_profit += scenario.pair_profit(u, b.bs);
@@ -693,7 +685,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
       // Broadcast the new resource levels to the audience; on an
       // unreliable network, rebroadcast every round so dropped updates
       // heal and matched UEs keep hearing their serving BS.
-      if (!fresh.empty() || !reacks.empty() || unreliable) {
+      if (!fresh.empty() || !reacks.empty() || kUnreliable) {
         const std::uint32_t snapshot = arena.publish(b.resources);
         for (AgentId ue_addr : b.audience)
           bus.send(b.address, ue_addr, MsgResourceUpdate{b.bs, snapshot});
@@ -727,7 +719,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
       audit::RoundContext ctx;
       ctx.scenario = &scenario;
       ctx.allocation = &result.dmra.allocation;
-      if (!unreliable) {
+      if (!kUnreliable) {
         ctx.ledger = audit::snapshot_ledger(
             scenario,
             [&](BsId i, ServiceId j) {
@@ -740,9 +732,8 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
               return lb == kNotLocal ? scenario.bs(i).num_rrbs : bs_agents[lb].resources.rrbs;
             });
       }
-      ctx.round = unreliable ? 0 : result.dmra.rounds - 1;
-      ctx.source = faulty ? "core/decentralized-faulty"
-                          : (lossy ? "core/decentralized-lossy" : scope.source);
+      ctx.round = kUnreliable ? 0 : result.dmra.rounds - 1;
+      ctx.source = kUnreliable ? "core/decentralized-faulty" : scope.source;
       audit::observer()->on_round(ctx);
     }
 
@@ -813,7 +804,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
   // surviving BSs still believe they have. Whoever still cannot be placed
   // stays at the cloud — that is the graceful-degradation floor, never a
   // crash or an infeasible allocation.
-  if (faulty && net.recovery.final_repair) {
+  if (crashes) {
     std::vector<bool> matched(scenario.num_ues(), true);
     std::size_t orphan_count = 0;
     for (const UeAgent& a : ue_agents) {
@@ -874,7 +865,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
       }
     }
   }
-  if (faulty) {
+  if (crashes) {
     for (const UeAgent& a : ue_agents)
       if (a.needs_repair) ++result.recovery.cloud_fallbacks;
   }
@@ -892,8 +883,7 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
                          std::vector<std::uint32_t>& view_crus,
                          std::vector<std::uint32_t>& view_rrbs, LiveCandidates& b_u) {
   DMRA_REQUIRE(config.rho >= 0.0);
-  const bool unreliable =
-      net.drop_probability > 0.0 || (net.faults != nullptr && net.faults->any());
+  const bool unreliable = net.faults != nullptr && net.faults->any();
   return unreliable ? run_scope<true>(scenario, config, net, scope, view_crus, view_rrbs, b_u)
                     : run_scope<false>(scenario, config, net, scope, view_crus, view_rrbs, b_u);
 }

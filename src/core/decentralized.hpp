@@ -30,10 +30,12 @@
 // Fault tolerance: attach a FaultPlan (net/fault_plan.hpp) through
 // NetworkConditions::faults and the runtime survives message loss,
 // duplication, delay, BS crashes, and capacity degradation — safe (always
-// a feasible allocation, no double-commit) and live (terminates), with
-// protocol-level recovery plus a final repair pass. docs/RESILIENCE.md
-// documents the full model; with no plan (or a fault-free one) the run is
-// byte-identical to the unhardened runtime (golden-tested).
+// a feasible allocation, no double-commit) and live (terminates). The
+// plan alone decides what is armed: every plan arms re-acks and
+// every-round rebroadcasts, and only BS outages add crash recovery and a
+// final repair pass. docs/RESILIENCE.md documents the full model; with no
+// plan (or a fault-free one) the run is byte-identical to the unhardened
+// runtime (golden-tested).
 #pragma once
 
 #include <cstdint>
@@ -45,28 +47,9 @@
 
 namespace dmra {
 
-/// Bounds on the protocol-level recovery machinery. Only consulted when a
-/// FaultPlan with FaultPlan::any() is attached; otherwise inert.
-struct RecoveryConfig {
-  /// A UE re-proposes to the same BS at most this many consecutive times
-  /// without hearing a decision before it presumes the BS dead and erases
-  /// it from its candidate list (bounded re-propose).
-  std::size_t max_reproposals = 3;
-  /// A matched UE that hears nothing from its serving BS (no broadcast,
-  /// no decision) for more than this many consecutive rounds suspects a
-  /// crash and re-enters the matching. Under faults BSs rebroadcast every
-  /// round, so silence is a strong crash signal; a false suspicion of a
-  /// live BS is healed by its idempotent re-ack.
-  std::size_t suspect_after = 3;
-  /// Run the post-protocol repair pass: orphans of crashed BSs that the
-  /// live protocol could not re-place are re-matched once against the
-  /// surviving capacity (solve_dmra_partial); whoever still cannot be
-  /// placed stays at the cloud — the graceful-degradation floor.
-  bool final_repair = true;
-};
-
 /// What the fault machinery injected and what the recovery machinery won
-/// back. All zeros when no fault plan was attached.
+/// back. All zeros when no fault plan was attached; the crash-recovery
+/// counters stay zero unless the plan schedules BS outages.
 struct FaultRecoveryStats {
   std::uint64_t bs_crashes = 0;            ///< scheduled crashes applied
   std::uint64_t bs_recoveries = 0;         ///< scheduled recoveries applied
@@ -105,26 +88,20 @@ struct DecentralizedResult {
   AllocCounters alloc;
 };
 
-/// Optional network impairment for the protocol run. With loss enabled
+/// Optional network impairment for the protocol run. Under any fault plan
 /// the protocol stays safe (no double-commit, always a feasible
 /// allocation) and live (terminates), at the cost of allocation quality:
 /// BSs re-ack duplicate proposals idempotently, rebroadcast their
 /// resource levels every round, and UEs fall back to the static BS
 /// capacities for candidates they have not heard from yet.
 struct NetworkConditions {
-  /// Probability that any single message is lost, in [0, 1). 0 = the
-  /// reliable bus (bit-identical to the direct solver). Mutually
-  /// exclusive with `faults` — a plan carries its own loss model in
-  /// FaultPlan::link.
-  double drop_probability = 0.0;
   /// Seed for the bus's fault streams (drop/duplicate/delay draws).
   std::uint64_t seed = 0;
   /// Optional fault schedule (not owned; must outlive the run). nullptr —
   /// or a plan with FaultPlan::any() == false — leaves the runtime on its
-  /// fault-free path, byte-identical to not having the field at all.
+  /// reliable path, bit-identical to the direct solver. A lossy network is
+  /// a plan with only FaultPlan::link set.
   const FaultPlan* faults = nullptr;
-  /// Recovery bounds; only consulted when `faults` injects something.
-  RecoveryConfig recovery = {};
 };
 
 /// Run the message-passing DMRA protocol to completion. Deterministic for

@@ -138,8 +138,7 @@ std::optional<BsId> IncrementalAllocator::place(UeId u) {
     const std::uint32_t rem_rrb = state_.remaining_rrbs(i);
     if (rem_cru < e.cru_demand || rem_rrb < rrbs[k]) continue;
     ++live_fu;
-    const double v = prices[k] + config_.dmra.rho /
-                                     static_cast<double>(rem_cru + rem_rrb);
+    const double v = ue_preference_value(prices[k], config_.dmra.rho, rem_cru, rem_rrb);
     // Ties break toward the smaller BsId — candidates are ascending, so
     // strict < keeps the earlier (smaller) one.
     if (!best || v < best_v) {

@@ -8,56 +8,6 @@
 
 namespace dmra {
 
-double ue_preference_value(const Scenario& scenario, const ResourceView& view, UeId u,
-                           BsId i, double rho) {
-  DMRA_REQUIRE(rho >= 0.0);
-  const ServiceId j = scenario.ue(u).service;
-  const double remaining = static_cast<double>(view.remaining_crus(i, j)) +
-                           static_cast<double>(view.remaining_rrbs(i));
-  const double price = scenario.price(u, i);
-  if (remaining <= 0.0)
-    return rho > 0.0 ? std::numeric_limits<double>::infinity() : price;
-  return price + rho / remaining;
-}
-
-bool view_can_serve(const Scenario& scenario, const ResourceView& view, UeId u, BsId i) {
-  const UserEquipment& e = scenario.ue(u);
-  const LinkStats& l = scenario.link(u, i);
-  if (!l.in_coverage || l.n_rrbs == 0) return false;
-  return view.remaining_crus(i, e.service) >= e.cru_demand &&
-         view.remaining_rrbs(i) >= l.n_rrbs;
-}
-
-std::uint32_t live_coverage_count(const Scenario& scenario, const ResourceView& view,
-                                  UeId u) {
-  std::uint32_t n = 0;
-  for (BsId i : scenario.candidates(u))
-    if (view_can_serve(scenario, view, u, i)) ++n;
-  return n;
-}
-
-std::optional<BsId> choose_proposal(const Scenario& scenario, const ResourceView& view,
-                                    UeId u, std::vector<BsId>& b_u, double rho) {
-  while (!b_u.empty()) {
-    // argmin v(u,i); ties toward the smaller BsId for determinism.
-    std::size_t best = 0;
-    double best_v = ue_preference_value(scenario, view, u, b_u[0], rho);
-    for (std::size_t n = 1; n < b_u.size(); ++n) {
-      const double v = ue_preference_value(scenario, view, u, b_u[n], rho);
-      if (v < best_v || (v == best_v && b_u[n] < b_u[best])) {
-        best = n;
-        best_v = v;
-      }
-    }
-    const BsId i = b_u[best];
-    if (view_can_serve(scenario, view, u, i)) return i;
-    // Resources only shrink, so an unserviceable BS stays unserviceable:
-    // remove it permanently (Alg. 1 line 10).
-    b_u.erase(b_u.begin() + static_cast<std::ptrdiff_t>(best));
-  }
-  return std::nullopt;
-}
-
 void LiveCandidates::build(const Scenario& scenario) {
   const std::size_t nu = scenario.num_ues();
   const std::size_t total = scenario.num_candidate_slots();

@@ -58,35 +58,15 @@ struct DmraConfig {
   bool drop_rejected = false;
 };
 
-/// A UE-side view of remaining BS resources. The direct solver backs this
-/// with the global ResourceState; a decentralized UE agent backs it with
-/// whatever the BSs last broadcast to it.
-class ResourceView {
- public:
-  virtual ~ResourceView() = default;
-  virtual std::uint32_t remaining_crus(BsId i, ServiceId j) const = 0;
-  virtual std::uint32_t remaining_rrbs(BsId i) const = 0;
-};
-
 /// Eq. 17: v(u,i) = p(i,u) + ρ / (remaining CRUs of u's service at i +
-/// remaining RRBs at i). Returns +inf when the denominator is zero
-/// (an exhausted BS is never preferred).
-double ue_preference_value(const Scenario& scenario, const ResourceView& view, UeId u,
-                           BsId i, double rho);
-
-/// Whether BS i can currently serve u according to `view` (service CRUs
-/// and RRBs both sufficient; u's link must be a scenario candidate link).
-bool view_can_serve(const Scenario& scenario, const ResourceView& view, UeId u, BsId i);
-
-/// Live f_u: candidate BSs of u that can still serve it under `view`.
-std::uint32_t live_coverage_count(const Scenario& scenario, const ResourceView& view, UeId u);
-
-/// UE proposal step (Alg. 1 lines 4–10): pick argmin v(u,i) over the
-/// shrinking candidate list `b_u`, erasing BSs that can no longer serve u.
-/// Returns the chosen BS or nullopt (b_u exhausted → remote cloud).
-/// Ties in v are broken toward the smaller BsId.
-std::optional<BsId> choose_proposal(const Scenario& scenario, const ResourceView& view,
-                                    UeId u, std::vector<BsId>& b_u, double rho);
+/// remaining RRBs at i). An exhausted BS (nothing remaining) is never
+/// preferred: +inf, or the bare price when ρ = 0.
+inline double ue_preference_value(double price, double rho, std::uint32_t crus,
+                                  std::uint32_t rrbs) {
+  const double remaining = static_cast<double>(crus) + static_cast<double>(rrbs);
+  if (remaining <= 0.0) return rho > 0.0 ? std::numeric_limits<double>::infinity() : price;
+  return price + rho / remaining;
+}
 
 /// The per-UE shrinking candidate lists (every B_u of Alg. 1) packed into
 /// one flat pool of slot indices into the scenario's CSR candidate rows.
@@ -135,14 +115,14 @@ class LiveCandidates {
   std::vector<std::size_t> len_;      ///< per-UE live length
 };
 
-/// SoA form of choose_proposal: argmin v(u,i) over u's live row, erasing
-/// slots whose BS can no longer serve u. `view` is any callable
-/// `(std::size_t global_slot, BsId i) -> std::pair<std::uint32_t,
-/// std::uint32_t>` returning (remaining CRUs of u's service at i,
-/// remaining RRBs at i) — the solver closes over ResourceState, the
-/// decentralized runtime over its per-slot broadcast arrays. Bit-for-bit
-/// the same arithmetic, iteration order, and tie-breaks as
-/// choose_proposal over an equivalent ResourceView.
+/// UE proposal step (Alg. 1 lines 4–10): argmin v(u,i) over u's live
+/// row, erasing slots whose BS can no longer serve u. Returns the chosen
+/// BS, or nullopt once the row is exhausted (→ remote cloud). Ties in v
+/// go to the smaller BsId. `view` is any callable `(std::size_t
+/// global_slot, BsId i) -> std::pair<std::uint32_t, std::uint32_t>`
+/// returning (remaining CRUs of u's service at i, remaining RRBs at i) —
+/// the solver closes over ResourceState, the decentralized runtime over
+/// its per-slot broadcast arrays.
 template <typename ViewFn>
 std::optional<BsId> choose_proposal_soa(const Scenario& scenario, LiveCandidates& lc,
                                         UeId u, double rho, ViewFn&& view) {
@@ -153,23 +133,16 @@ std::optional<BsId> choose_proposal_soa(const Scenario& scenario, LiveCandidates
   const std::span<const std::uint32_t> rrb_demand = scenario.candidate_rrbs(u);
   const std::size_t base = scenario.candidate_offset(u);
   const std::uint32_t cru_demand = scenario.ue(u).cru_demand;
-  const auto value_of = [&](std::uint32_t slot, std::uint32_t crus, std::uint32_t rrbs) {
-    const double remaining = static_cast<double>(crus) + static_cast<double>(rrbs);
-    const double price = prices[slot];
-    if (remaining <= 0.0)
-      return rho > 0.0 ? std::numeric_limits<double>::infinity() : price;
-    return price + rho / remaining;
-  };
   while (!lc.empty(u)) {
     const std::span<const std::uint32_t> row = lc.live(u);
     // argmin v(u,i); ties toward the smaller BsId for determinism (rows
     // stay ascending in BsId, so the first minimum wins ties).
     std::size_t best = 0;
     auto [best_crus, best_rrbs] = view(base + row[0], cands[row[0]]);
-    double best_v = value_of(row[0], best_crus, best_rrbs);
+    double best_v = ue_preference_value(prices[row[0]], rho, best_crus, best_rrbs);
     for (std::size_t n = 1; n < row.size(); ++n) {
       const auto [crus, rrbs] = view(base + row[n], cands[row[n]]);
-      const double v = value_of(row[n], crus, rrbs);
+      const double v = ue_preference_value(prices[row[n]], rho, crus, rrbs);
       if (v < best_v || (v == best_v && cands[row[n]] < cands[row[best]])) {
         best = n;
         best_v = v;
@@ -188,10 +161,9 @@ std::optional<BsId> choose_proposal_soa(const Scenario& scenario, LiveCandidates
   // dmra::hotpath end(choose-proposal)
 }
 
-/// SoA form of live_coverage_count: serviceable BSs among u's *full*
-/// candidate row (not the shrinking live row — a BS dropped from B_u
-/// still counts while the view says it could serve u). Same `view`
-/// callable as choose_proposal_soa.
+/// Live f_u: serviceable BSs among u's *full* candidate row (not the
+/// shrinking live row — a BS dropped from B_u still counts while the view
+/// says it could serve u). Same `view` callable as choose_proposal_soa.
 template <typename ViewFn>
 std::uint32_t live_coverage_count_soa(const Scenario& scenario, UeId u, ViewFn&& view) {
   // dmra::hotpath begin(coverage-count)

@@ -48,9 +48,8 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
     traced_profit = total_profit(scenario, allocation);
   }
 
-  // The proposal pass reads the ledger directly (no virtual ResourceView
-  // hop): remaining CRUs of the proposer's service plus remaining RRBs,
-  // per candidate slot.
+  // The proposal pass reads the ledger directly: remaining CRUs of the
+  // proposer's service plus remaining RRBs, per candidate slot.
   const std::size_t nu = scenario.num_ues();
   LiveCandidates b_u;
   b_u.build(scenario);

@@ -21,6 +21,8 @@
 // must be indistinguishable from no plan at all: run_decentralized_dmra
 // only enters its fault-handling paths when FaultPlan::any() is true, and
 // a golden test asserts byte-identical output for the zero-fault case.
+// Any other plan arms the unreliable-network protocol (re-acks,
+// rebroadcasts); only outages also arm crash recovery.
 #pragma once
 
 #include <cstddef>
@@ -35,9 +37,8 @@ namespace dmra {
 /// Per-message link impairments, applied independently to every pending
 /// message at delivery time. All probabilities are per message, in [0, 1).
 struct LinkFaults {
-  /// Message is silently lost. Draws come from the same "bus-loss" stream
-  /// as MessageBus::set_loss, so a loss-only plan reproduces the legacy
-  /// lossy bus bit-for-bit for the same seed.
+  /// Message is silently lost. Draws come from the "bus-loss" stream, so
+  /// arming duplication or delay never changes which messages drop.
   double drop_probability = 0.0;
   /// A surviving message is delivered now AND a copy arrives one round
   /// later (stale retransmission). The copy is delivered unconditionally.

@@ -123,7 +123,6 @@ DecentralizedResult FaultyDmraAllocator::run(const Scenario& scenario) const {
   NetworkConditions net;
   net.seed = spec_.seed;
   net.faults = &plan;
-  net.recovery = recovery_;
   return run_decentralized_dmra(scenario, config_, net);
 }
 

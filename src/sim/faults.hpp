@@ -72,9 +72,8 @@ FaultPlan make_fault_plan(const FaultSpec& spec, std::size_t num_bss);
 /// fault/recovery accounting should call run() instead.
 class FaultyDmraAllocator final : public Allocator {
  public:
-  explicit FaultyDmraAllocator(FaultSpec spec, DmraConfig config = {},
-                               RecoveryConfig recovery = {})
-      : spec_(spec), config_(config), recovery_(recovery) {}
+  explicit FaultyDmraAllocator(FaultSpec spec, DmraConfig config = {})
+      : spec_(spec), config_(config) {}
 
   std::string name() const override { return "DMRA+faults"; }
   Allocation allocate(const Scenario& scenario) const override {
@@ -87,7 +86,6 @@ class FaultyDmraAllocator final : public Allocator {
  private:
   FaultSpec spec_;
   DmraConfig config_;
-  RecoveryConfig recovery_;
 };
 
 }  // namespace dmra

@@ -233,9 +233,11 @@ TEST(Auditor, DecentralizedRunsCleanUnderAudit) {
   audit::ScopedAuditObserver guard(&auditor);
   const auto reliable = run_decentralized_dmra(s);
   EXPECT_TRUE(check_feasibility(s, reliable.dmra.allocation).ok);
+  FaultPlan loss;
+  loss.link.drop_probability = 0.2;
   NetworkConditions lossy;
-  lossy.drop_probability = 0.2;
   lossy.seed = 3;
+  lossy.faults = &loss;
   const auto impaired = run_decentralized_dmra(s, {}, lossy);
   EXPECT_TRUE(check_feasibility(s, impaired.dmra.allocation).ok);
   EXPECT_TRUE(auditor.findings().ok);

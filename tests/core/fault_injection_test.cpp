@@ -1,7 +1,10 @@
 // Protocol hardening under injected faults: the zero-fault golden
 // contract, graceful degradation under loss/crash schedules, orphan
-// accounting, auditor cleanliness, and per-seed determinism.
+// accounting, auditor cleanliness, per-seed determinism, and which plans
+// arm crash recovery.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "check/invariant_auditor.hpp"
 #include "core/decentralized.hpp"
@@ -11,7 +14,6 @@
 #include "sim/faults.hpp"
 #include "sim/feasibility.hpp"
 #include "sim/metrics.hpp"
-#include "util/require.hpp"
 #include "workload/generator.hpp"
 
 namespace dmra {
@@ -162,14 +164,77 @@ TEST(FaultInjection, DeterministicPerSeedAndSeedSensitive) {
   EXPECT_NE(r1.bus.messages_dropped, r3.bus.messages_dropped);
 }
 
-TEST(FaultInjection, RejectsLegacyLossCombinedWithPlan) {
-  const Scenario s = test_scenario(50);
-  FaultPlan plan;
-  plan.link.drop_probability = 0.1;
-  NetworkConditions net;
-  net.drop_probability = 0.1;  // legacy knob — mutually exclusive with a plan
-  net.faults = &plan;
-  EXPECT_THROW(run_decentralized_dmra(s, {}, net), ContractViolation);
+// The arming rule: a plan without outages gets the unreliable-network
+// protocol (re-acks, rebroadcasts) but no crash recovery, because with no
+// BS able to crash, silence means loss and suspecting the serving BS or
+// presuming a candidate dead only throws profit away.
+TEST(FaultInjection, LossOnlyPlanArmsNoCrashRecovery) {
+  const auto expect_no_crash_recovery = [](const DecentralizedResult& r) {
+    EXPECT_EQ(r.recovery.reproposals, 0u);
+    EXPECT_EQ(r.recovery.presumed_dead, 0u);
+    EXPECT_EQ(r.recovery.suspected_serving_bs, 0u);
+  };
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Scenario s = test_scenario(300, seed);
+    const double clean = total_profit(s, run_decentralized_dmra(s).dmra.allocation);
+
+    FaultPlan loss;
+    loss.link.drop_probability = 0.3;
+    const DecentralizedResult r =
+        run_decentralized_dmra(s, {}, {.seed = 7 * seed, .faults = &loss});
+    EXPECT_GT(r.bus.messages_dropped, 0u);
+    expect_no_crash_recovery(r);
+    EXPECT_LE(r.dmra.rounds, 64u);
+    EXPECT_GE(total_profit(s, r.dmra.allocation), 0.99 * clean);
+
+    // Every other plan without outages obeys the same rule.
+    FaultPlan dup;
+    dup.link.duplicate_probability = 0.1;
+    FaultPlan delay;
+    delay.link.delay_probability = 0.1;
+    delay.link.max_delay_rounds = 3;
+    FaultPlan degrade;
+    degrade.degradations.push_back(CapacityDegradation{BsId{0}, 2, 0.5, 0.5});
+    FaultPlan mixed;
+    mixed.link = {.drop_probability = 0.1,
+                  .duplicate_probability = 0.05,
+                  .delay_probability = 0.1,
+                  .max_delay_rounds = 3};
+    for (const FaultPlan* plan : {&dup, &delay, &degrade, &mixed}) {
+      const DecentralizedResult other =
+          run_decentralized_dmra(s, {}, {.seed = 7 * seed, .faults = plan});
+      expect_no_crash_recovery(other);
+      EXPECT_TRUE(check_feasibility(s, other.dmra.allocation).ok);
+    }
+  }
+}
+
+// With delays of three or more bus rounds some rebroadcast is always
+// parked, so the quiet-round exit must not wait for an empty bus: the
+// delay grace covers a delayed proposal's two hops to a BS.
+TEST(FaultInjection, DelayPlansConvergeBeforeTheRoundCap) {
+  for (const std::uint64_t max_delay : {3u, 4u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("max_delay_rounds " + std::to_string(max_delay) + ", seed " +
+                   std::to_string(seed));
+      const Scenario s = test_scenario(300, seed);
+      FaultPlan plan;
+      plan.link.delay_probability = 0.1;
+      plan.link.max_delay_rounds = max_delay;
+      check::InvariantAuditor auditor;
+      const DecentralizedResult r = [&] {
+        audit::ScopedAuditObserver scope(&auditor);
+        return run_decentralized_dmra(s, {}, {.seed = seed, .faults = &plan});
+      }();
+      EXPECT_GT(r.bus.messages_delayed, 0u);
+      EXPECT_LE(r.dmra.rounds, 64u);
+      EXPECT_TRUE(check_feasibility(s, r.dmra.allocation).ok);
+      EXPECT_TRUE(auditor.findings().ok)
+          << (auditor.findings().violations.empty() ? ""
+                                                    : auditor.findings().violations[0]);
+    }
+  }
 }
 
 TEST(FaultInjection, FaultSpecParserRoundTrips) {

@@ -27,6 +27,11 @@
 // two deployments per seed, pinning the allocation, profit bits, traffic
 // and round counters, and the reconcile pass's outcome.
 //
+// LinkFaultPlansByteIdenticalAcrossSeeds pins the protocol under plans
+// without outages (loss only; loss + duplication + delay), which arm no
+// crash recovery: bus traffic, proposals, profit bits, and recovery
+// counters that must stay zero.
+//
 // Regenerating (only legitimate after an intentional semantic change):
 //   DMRA_GOLDEN_REGEN=1 ./build/tests/core_test
 //     --gtest_filter='GoldenRuntime.*' 2>/dev/null
@@ -384,6 +389,97 @@ constexpr GoldenShardedRow kGoldenSharded[kSeeds] = {
      {0xa290181e70fdcb00ull, 0x40ac020042f58f58ull, 283ull, 10ull, 651ull, 351ull, 0xd926298bb302f0c1ull, 283ull, 8ull}},
 };
 
+// Link-fault probe: two plans without outages per seed on the paper
+// deployment.
+struct GoldenLinkCase {
+  std::uint64_t bus_rounds;
+  std::uint64_t messages_sent;
+  std::uint64_t dropped;
+  std::uint64_t duplicated;
+  std::uint64_t delayed;
+  std::uint64_t proposals_sent;
+  std::uint64_t profit_bits;
+};
+
+struct GoldenLinkRow {
+  std::uint64_t seed;
+  GoldenLinkCase loss;   ///< drop 0.2
+  GoldenLinkCase mixed;  ///< drop 0.1, duplicate 0.05, delay 0.1 (max 3 rounds)
+};
+
+GoldenLinkCase run_link_probe(const Scenario& s, const LinkFaults& link, std::uint64_t seed) {
+  FaultPlan plan;
+  plan.link = link;
+  const DecentralizedResult r = run_decentralized_dmra(s, {}, {.seed = seed, .faults = &plan});
+  // No outages, so no crash recovery: nothing is re-proposed, presumed
+  // dead, or suspected.
+  EXPECT_EQ(r.recovery.reproposals, 0u);
+  EXPECT_EQ(r.recovery.presumed_dead, 0u);
+  EXPECT_EQ(r.recovery.suspected_serving_bs, 0u);
+  return {r.bus.rounds,           r.bus.messages_sent,    r.bus.messages_dropped,
+          r.bus.messages_duplicated, r.bus.messages_delayed, r.dmra.proposals_sent,
+          profit_bits(s, r.dmra.allocation)};
+}
+
+GoldenLinkRow run_link_probes(std::uint64_t seed) {
+  ScenarioConfig cfg;
+  cfg.num_ues = kUes;
+  const Scenario s = generate_scenario(cfg, seed);
+  return {seed, run_link_probe(s, {.drop_probability = 0.2}, seed),
+          run_link_probe(s,
+                         {.drop_probability = 0.1,
+                          .duplicate_probability = 0.05,
+                          .delay_probability = 0.1,
+                          .max_delay_rounds = 3},
+                         seed)};
+}
+
+void print_link_case(const GoldenLinkCase& c) {
+  std::printf("{%lluull, %lluull, %lluull, %lluull, %lluull, %lluull, 0x%llxull}",
+              static_cast<unsigned long long>(c.bus_rounds),
+              static_cast<unsigned long long>(c.messages_sent),
+              static_cast<unsigned long long>(c.dropped),
+              static_cast<unsigned long long>(c.duplicated),
+              static_cast<unsigned long long>(c.delayed),
+              static_cast<unsigned long long>(c.proposals_sent),
+              static_cast<unsigned long long>(c.profit_bits));
+}
+
+// Generated by the engine that arms crash recovery only for plans with
+// outages.
+constexpr GoldenLinkRow kGoldenLink[kSeeds] = {
+    {1ull,
+     {90ull, 54433ull, 10952ull, 0ull, 0ull, 1033ull, 0x40abb8445ac15543ull},
+     {54ull, 34208ull, 3448ull, 1532ull, 3156ull, 831ull, 0x40abb90bb1e44688ull}},
+    {2ull,
+     {66ull, 40543ull, 8003ull, 0ull, 0ull, 987ull, 0x40ac47278d001f40ull},
+     {54ull, 33951ull, 3286ull, 1503ull, 3000ull, 846ull, 0x40ac4654d1e735e7ull}},
+    {3ull,
+     {70ull, 43487ull, 8600ull, 0ull, 0ull, 961ull, 0x40abe2be9ede5e91ull},
+     {54ull, 34478ull, 3479ull, 1550ull, 3108ull, 827ull, 0x40abe347106cc1fbull}},
+    {4ull,
+     {66ull, 41180ull, 8117ull, 0ull, 0ull, 1022ull, 0x40ac5921649718d1ull},
+     {50ull, 32161ull, 3152ull, 1433ull, 2905ull, 855ull, 0x40ac5ef06cc8c4eeull}},
+    {5ull,
+     {86ull, 52965ull, 10624ull, 0ull, 0ull, 1037ull, 0x40acbf83ee78e751ull},
+     {62ull, 39228ull, 3963ull, 1823ull, 3578ull, 852ull, 0x40acbe59363d0719ull}},
+    {6ull,
+     {50ull, 32195ull, 6455ull, 0ull, 0ull, 1000ull, 0x40aca7fad95a4f26ull},
+     {50ull, 32181ull, 3140ull, 1463ull, 2902ull, 845ull, 0x40acae965efb9f95ull}},
+    {7ull,
+     {50ull, 31818ull, 6432ull, 0ull, 0ull, 1000ull, 0x40ac71f5f56ed1feull},
+     {54ull, 34098ull, 3475ull, 1604ull, 3063ull, 842ull, 0x40ac71f344779f7dull}},
+    {8ull,
+     {66ull, 41067ull, 8132ull, 0ull, 0ull, 986ull, 0x40abfe46c8f8c81aull},
+     {54ull, 34301ull, 3450ull, 1538ull, 2989ull, 836ull, 0x40ac01a016b33825ull}},
+    {9ull,
+     {58ull, 35743ull, 7175ull, 0ull, 0ull, 1017ull, 0x40ac350d23ee7840ull},
+     {70ull, 42153ull, 4203ull, 1903ull, 3746ull, 800ull, 0x40ac35a648941ba0ull}},
+    {10ull,
+     {54ull, 35219ull, 6939ull, 0ull, 0ull, 1060ull, 0x40ac007bffd1b0fdull},
+     {58ull, 37556ull, 3681ull, 1685ull, 3377ull, 898ull, 0x40abfd96482d7f1cull}},
+};
+
 // See BusFaultStreamPinned below; regenerated alongside kGolden.
 constexpr std::uint64_t kBusFaultStreamHash = 0x4fdb0e93353ec4adull;
 
@@ -487,6 +583,42 @@ TEST(GoldenRuntime, ShardedByteIdenticalAcrossSeeds) {
     {
       SCOPED_TRACE("paper deployment, 4 shards");
       expect_sharded_case(got.paper, want.paper);
+    }
+  }
+}
+
+void expect_link_case(const GoldenLinkCase& got, const GoldenLinkCase& want) {
+  EXPECT_EQ(got.bus_rounds, want.bus_rounds);
+  EXPECT_EQ(got.messages_sent, want.messages_sent);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.duplicated, want.duplicated);
+  EXPECT_EQ(got.delayed, want.delayed);
+  EXPECT_EQ(got.proposals_sent, want.proposals_sent);
+  EXPECT_EQ(got.profit_bits, want.profit_bits);
+}
+
+TEST(GoldenRuntime, LinkFaultPlansByteIdenticalAcrossSeeds) {
+  if (std::getenv("DMRA_GOLDEN_REGEN") != nullptr) {
+    for (int seed = 1; seed <= kSeeds; ++seed) {
+      const GoldenLinkRow r = run_link_probes(static_cast<std::uint64_t>(seed));
+      std::printf("    {%lluull,\n     ", static_cast<unsigned long long>(r.seed));
+      print_link_case(r.loss);
+      std::printf(",\n     ");
+      print_link_case(r.mixed);
+      std::printf("},\n");
+    }
+    GTEST_SKIP() << "regen mode: rows printed to stdout";
+  }
+  for (const GoldenLinkRow& want : kGoldenLink) {
+    const GoldenLinkRow got = run_link_probes(want.seed);
+    SCOPED_TRACE("seed " + std::to_string(want.seed));
+    {
+      SCOPED_TRACE("loss only");
+      expect_link_case(got.loss, want.loss);
+    }
+    {
+      SCOPED_TRACE("loss + duplication + delay");
+      expect_link_case(got.mixed, want.mixed);
     }
   }
 }

@@ -1,9 +1,11 @@
-// Safety and liveness of the decentralized protocol on a lossy network.
+// Safety and liveness of the decentralized protocol on a lossy network:
+// a fault plan whose only fault is per-message loss.
 #include <gtest/gtest.h>
 
 #include "core/decentralized.hpp"
 #include "core/solver.hpp"
 #include "net/bus.hpp"
+#include "net/fault_plan.hpp"
 #include "sim/feasibility.hpp"
 #include "sim/metrics.hpp"
 #include "util/require.hpp"
@@ -18,9 +20,16 @@ Scenario test_scenario(std::size_t ues = 300, std::uint64_t seed = 9) {
   return generate_scenario(cfg, seed);
 }
 
+FaultPlan loss_plan(double drop_probability) {
+  FaultPlan plan;
+  plan.link.drop_probability = drop_probability;
+  return plan;
+}
+
 TEST(LossyNetwork, ZeroLossIsStillBitIdenticalToDirect) {
   const Scenario s = test_scenario();
-  const NetworkConditions reliable{};  // drop 0
+  const FaultPlan no_loss = loss_plan(0.0);
+  const NetworkConditions reliable{.faults = &no_loss};
   EXPECT_EQ(run_decentralized_dmra(s, {}, reliable).dmra.allocation,
             solve_dmra(s).allocation);
 }
@@ -29,7 +38,8 @@ class LossSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(LossSweep, AlwaysFeasibleAndTerminates) {
   const Scenario s = test_scenario();
-  const NetworkConditions net{.drop_probability = GetParam(), .seed = 5};
+  const FaultPlan plan = loss_plan(GetParam());
+  const NetworkConditions net{.seed = 5, .faults = &plan};
   const DecentralizedResult r = run_decentralized_dmra(s, {}, net);
   const FeasibilityReport report = check_feasibility(s, r.dmra.allocation);
   EXPECT_TRUE(report.ok) << (report.violations.empty() ? "" : report.violations[0]);
@@ -42,7 +52,8 @@ INSTANTIATE_TEST_SUITE_P(DropRates, LossSweep, ::testing::Values(0.05, 0.15, 0.3
 TEST(LossyNetwork, QualityDegradesGracefully) {
   const Scenario s = test_scenario(500);
   const double clean = total_profit(s, run_decentralized_dmra(s).dmra.allocation);
-  const NetworkConditions net{.drop_probability = 0.2, .seed = 7};
+  const FaultPlan plan = loss_plan(0.2);
+  const NetworkConditions net{.seed = 7, .faults = &plan};
   const double lossy = total_profit(s, run_decentralized_dmra(s, {}, net).dmra.allocation);
   // Losses cost retries and sometimes strand a UE, but the protocol keeps
   // the vast majority of the value.
@@ -51,8 +62,9 @@ TEST(LossyNetwork, QualityDegradesGracefully) {
 
 TEST(LossyNetwork, DeterministicPerSeedAndSeedSensitive) {
   const Scenario s = test_scenario(200);
-  const NetworkConditions a{.drop_probability = 0.2, .seed = 11};
-  const NetworkConditions b{.drop_probability = 0.2, .seed = 12};
+  const FaultPlan plan = loss_plan(0.2);
+  const NetworkConditions a{.seed = 11, .faults = &plan};
+  const NetworkConditions b{.seed = 12, .faults = &plan};
   EXPECT_EQ(run_decentralized_dmra(s, {}, a).dmra.allocation,
             run_decentralized_dmra(s, {}, a).dmra.allocation);
   EXPECT_NE(run_decentralized_dmra(s, {}, a).bus.messages_dropped,
@@ -65,7 +77,8 @@ TEST(LossyNetwork, NoDoubleCommitEvenUnderHeavyLoss) {
   // every UE appears at most once (Allocation guarantees it) and that the
   // heavy-loss run still serves a sane fraction.
   const Scenario s = test_scenario(400);
-  const NetworkConditions net{.drop_probability = 0.4, .seed = 3};
+  const FaultPlan plan = loss_plan(0.4);
+  const NetworkConditions net{.seed = 3, .faults = &plan};
   const DecentralizedResult r = run_decentralized_dmra(s, {}, net);
   EXPECT_TRUE(check_feasibility(s, r.dmra.allocation).ok);
   EXPECT_GT(r.dmra.allocation.num_served(), s.num_ues() / 2);
@@ -74,9 +87,9 @@ TEST(LossyNetwork, NoDoubleCommitEvenUnderHeavyLoss) {
 TEST(LossyNetwork, LossCostsMoreMessages) {
   const Scenario s = test_scenario(250);
   const DecentralizedResult clean = run_decentralized_dmra(s);
+  const FaultPlan plan = loss_plan(0.25);
   const DecentralizedResult lossy =
-      run_decentralized_dmra(s, {},
-                             NetworkConditions{.drop_probability = 0.25, .seed = 5});
+      run_decentralized_dmra(s, {}, NetworkConditions{.seed = 5, .faults = &plan});
   // Retries plus per-round rebroadcasts dominate the dropped savings.
   EXPECT_GT(lossy.bus.messages_sent, clean.bus.messages_sent);
   EXPECT_GT(lossy.dmra.rounds, 0u);
@@ -84,14 +97,14 @@ TEST(LossyNetwork, LossCostsMoreMessages) {
 
 TEST(LossyNetwork, BusRejectsInvalidDropRates) {
   MessageBus<int> bus;
-  EXPECT_THROW(bus.set_loss(-0.1, 1), ContractViolation);
-  EXPECT_THROW(bus.set_loss(1.0, 1), ContractViolation);
+  EXPECT_THROW(bus.set_faults(LinkFaults{.drop_probability = -0.1}, 1), ContractViolation);
+  EXPECT_THROW(bus.set_faults(LinkFaults{.drop_probability = 1.0}, 1), ContractViolation);
 }
 
 TEST(LossyNetwork, BusDropStatsAddUp) {
   MessageBus<int> bus;
   const AgentId a = bus.register_agent();
-  bus.set_loss(0.5, 42);
+  bus.set_faults(LinkFaults{.drop_probability = 0.5}, 42);
   for (int i = 0; i < 2000; ++i) bus.send(a, a, i);
   bus.deliver();
   const BusStats& st = bus.stats();

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "../test_util.hpp"
 #include "mec/resources.hpp"
@@ -12,37 +14,44 @@
 namespace dmra {
 namespace {
 
-/// ResourceView over a live ResourceState (what the direct solver uses).
-class StateView final : public ResourceView {
- public:
-  explicit StateView(const ResourceState& s) : s_(&s) {}
-  std::uint32_t remaining_crus(BsId i, ServiceId j) const override {
-    return s_->remaining_crus(i, j);
-  }
-  std::uint32_t remaining_rrbs(BsId i) const override { return s_->remaining_rrbs(i); }
+/// The SoA view callable over a live ResourceState (what the direct solver
+/// closes over): u's service CRUs and the RRBs remaining at each BS.
+auto state_view(const Scenario& s, const ResourceState& rs, UeId u) {
+  const ServiceId j = s.ue(u).service;
+  return [&rs, j](std::size_t, BsId i) {
+    return std::pair<std::uint32_t, std::uint32_t>{rs.remaining_crus(i, j),
+                                                   rs.remaining_rrbs(i)};
+  };
+}
 
- private:
-  const ResourceState* s_;
-};
+/// Eq. 17 for (u, i) against the state's remaining resources.
+double preference(const Scenario& s, const ResourceState& rs, UeId u, BsId i, double rho) {
+  return ue_preference_value(s.price(u, i), rho, rs.remaining_crus(i, s.ue(u).service),
+                             rs.remaining_rrbs(i));
+}
+
+/// The BSs left in u's live candidate row, in row order.
+std::vector<BsId> live_bss(const Scenario& s, const LiveCandidates& lc, UeId u) {
+  std::vector<BsId> out;
+  for (const std::uint32_t slot : lc.live(u)) out.push_back(s.candidates(u)[slot]);
+  return out;
+}
 
 TEST(UePreference, MatchesEq17) {
   const Scenario s = test::two_bs_scenario();
   ResourceState rs(s);
-  const StateView view(rs);
   const UeId u{0};
   const BsId i{0};
   const double rho = 150.0;
   const double expected =
       s.price(u, i) + rho / (rs.remaining_crus(i, s.ue(u).service) + rs.remaining_rrbs(i));
-  EXPECT_DOUBLE_EQ(ue_preference_value(s, view, u, i, rho), expected);
+  EXPECT_DOUBLE_EQ(preference(s, rs, u, i, rho), expected);
 }
 
 TEST(UePreference, RhoZeroIsPureprice) {
   const Scenario s = test::two_bs_scenario();
   ResourceState rs(s);
-  const StateView view(rs);
-  EXPECT_DOUBLE_EQ(ue_preference_value(s, view, UeId{0}, BsId{0}, 0.0),
-                   s.price(UeId{0}, BsId{0}));
+  EXPECT_DOUBLE_EQ(preference(s, rs, UeId{0}, BsId{0}, 0.0), s.price(UeId{0}, BsId{0}));
 }
 
 TEST(UePreference, ExhaustedBsIsInfinitelyUnattractive) {
@@ -54,10 +63,9 @@ TEST(UePreference, ExhaustedBsIsInfinitelyUnattractive) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});  // consumes all 4 CRUs and the only RRB
-  const StateView view(rs);
-  EXPECT_TRUE(std::isinf(ue_preference_value(s, view, UeId{0}, BsId{0}, 10.0)));
+  EXPECT_TRUE(std::isinf(preference(s, rs, UeId{0}, BsId{0}, 10.0)));
   // With rho = 0 the resource term is absent and the price stays finite.
-  EXPECT_TRUE(std::isfinite(ue_preference_value(s, view, UeId{0}, BsId{0}, 0.0)));
+  EXPECT_TRUE(std::isfinite(preference(s, rs, UeId{0}, BsId{0}, 0.0)));
 }
 
 TEST(UePreference, LessLoadedBsWinsAtEqualPrice) {
@@ -70,17 +78,30 @@ TEST(UePreference, LessLoadedBsWinsAtEqualPrice) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});  // load BS 0
-  const StateView view(rs);
-  EXPECT_GT(ue_preference_value(s, view, UeId{0}, BsId{0}, 100.0),
-            ue_preference_value(s, view, UeId{0}, BsId{1}, 100.0));
+  EXPECT_GT(preference(s, rs, UeId{0}, BsId{0}, 100.0),
+            preference(s, rs, UeId{0}, BsId{1}, 100.0));
 }
 
 TEST(ViewCanServe, ChecksEveryDimension) {
   const Scenario s = test::two_bs_scenario();
   ResourceState rs(s);
-  const StateView view(rs);
-  EXPECT_TRUE(view_can_serve(s, view, UeId{0}, BsId{0}));
-  EXPECT_EQ(view_can_serve(s, view, UeId{0}, BsId{0}), rs.can_serve(UeId{0}, BsId{0}));
+  const UeId u{0};
+  const auto cands = s.candidates(u);
+  ASSERT_NE(std::find(cands.begin(), cands.end(), BsId{0}), cands.end());
+  // A BS counts toward f_u iff the view says it can serve u: restrict the
+  // view to BS 0 alone, then take away one dimension at a time.
+  const auto only_bs0 = [&](std::uint32_t crus_cut, std::uint32_t rrbs_cut) {
+    const ServiceId j = s.ue(u).service;
+    return live_coverage_count_soa(s, u, [&](std::size_t, BsId i) {
+      if (i != BsId{0}) return std::pair<std::uint32_t, std::uint32_t>{0, 0};
+      return std::pair<std::uint32_t, std::uint32_t>{rs.remaining_crus(i, j) - crus_cut,
+                                                     rs.remaining_rrbs(i) - rrbs_cut};
+    });
+  };
+  EXPECT_EQ(only_bs0(0, 0), 1u);
+  EXPECT_EQ(only_bs0(0, 0) == 1u, rs.can_serve(u, BsId{0}));
+  EXPECT_EQ(only_bs0(rs.remaining_crus(BsId{0}, s.ue(u).service), 0), 0u);
+  EXPECT_EQ(only_bs0(0, rs.remaining_rrbs(BsId{0})), 0u);
 }
 
 TEST(LiveCoverage, TracksResourceDepletion) {
@@ -92,10 +113,10 @@ TEST(LiveCoverage, TracksResourceDepletion) {
   ms.add_ue(sp, {50, 10}, ServiceId{0}, 4);
   const Scenario s = ms.build();
   ResourceState rs(s);
-  const StateView view(rs);
-  EXPECT_EQ(live_coverage_count(s, view, UeId{0}), 2u);
+  const auto view = state_view(s, rs, UeId{0});
+  EXPECT_EQ(live_coverage_count_soa(s, UeId{0}, view), 2u);
   rs.commit(UeId{1}, BsId{0});  // exhausts BS 0's service-0 CRUs
-  EXPECT_EQ(live_coverage_count(s, view, UeId{0}), 1u);
+  EXPECT_EQ(live_coverage_count_soa(s, UeId{0}, view), 1u);
 }
 
 TEST(ChooseProposal, PicksSmallestPreferenceValue) {
@@ -106,10 +127,12 @@ TEST(ChooseProposal, PicksSmallestPreferenceValue) {
   ms.add_ue(sp, {100, 0}, ServiceId{0});  // nearer to BS 0 → cheaper
   const Scenario s = ms.build();
   ResourceState rs(s);
-  const StateView view(rs);
-  std::vector<BsId> b_u{BsId{0}, BsId{1}};
-  EXPECT_EQ(choose_proposal(s, view, UeId{0}, b_u, 100.0), (BsId{0}));
-  EXPECT_EQ(b_u.size(), 2u);  // nothing erased — both serviceable
+  LiveCandidates b_u;
+  b_u.build(s);
+  ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
+  EXPECT_EQ(choose_proposal_soa(s, b_u, UeId{0}, 100.0, state_view(s, rs, UeId{0})),
+            (BsId{0}));
+  EXPECT_EQ(live_bss(s, b_u, UeId{0}).size(), 2u);  // nothing erased — both serviceable
 }
 
 TEST(ChooseProposal, ErasesUnserviceableAndFallsBack) {
@@ -122,12 +145,15 @@ TEST(ChooseProposal, ErasesUnserviceableAndFallsBack) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});  // BS 0 out of CRUs
-  const StateView view(rs);
-  std::vector<BsId> b_u{BsId{0}, BsId{1}};
+  LiveCandidates b_u;
+  b_u.build(s);
+  ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
   // With a small rho the near (cheap) BS 0 is still the argmin; it is
   // unserviceable, so Alg. 1 line 10 erases it and falls back to BS 1.
-  EXPECT_EQ(choose_proposal(s, view, UeId{0}, b_u, 10.0), (BsId{1}));
-  EXPECT_EQ(b_u, (std::vector<BsId>{BsId{1}}));  // BS 0 permanently erased
+  EXPECT_EQ(choose_proposal_soa(s, b_u, UeId{0}, 10.0, state_view(s, rs, UeId{0})),
+            (BsId{1}));
+  // BS 0 permanently erased.
+  EXPECT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{1}}));
 }
 
 TEST(ChooseProposal, DoesNotEraseBsesItNeverPicked) {
@@ -140,13 +166,15 @@ TEST(ChooseProposal, DoesNotEraseBsesItNeverPicked) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});
-  const StateView view(rs);
-  std::vector<BsId> b_u{BsId{0}, BsId{1}};
+  LiveCandidates b_u;
+  b_u.build(s);
+  ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
   // A huge rho makes the exhausted BS 0 infinitely unattractive: BS 1 is
   // the argmin directly, so BS 0 stays in B_u (only picked-and-failed BSs
   // are deleted).
-  EXPECT_EQ(choose_proposal(s, view, UeId{0}, b_u, 1e6), (BsId{1}));
-  EXPECT_EQ(b_u.size(), 2u);
+  EXPECT_EQ(choose_proposal_soa(s, b_u, UeId{0}, 1e6, state_view(s, rs, UeId{0})),
+            (BsId{1}));
+  EXPECT_EQ(live_bss(s, b_u, UeId{0}).size(), 2u);
 }
 
 TEST(ChooseProposal, ReturnsNulloptWhenExhausted) {
@@ -158,10 +186,12 @@ TEST(ChooseProposal, ReturnsNulloptWhenExhausted) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});
-  const StateView view(rs);
-  std::vector<BsId> b_u{BsId{0}};
-  EXPECT_FALSE(choose_proposal(s, view, UeId{0}, b_u, 100.0).has_value());
-  EXPECT_TRUE(b_u.empty());
+  LiveCandidates b_u;
+  b_u.build(s);
+  ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}}));
+  EXPECT_FALSE(
+      choose_proposal_soa(s, b_u, UeId{0}, 100.0, state_view(s, rs, UeId{0})).has_value());
+  EXPECT_TRUE(b_u.empty(UeId{0}));
 }
 
 // ---- bs_select --------------------------------------------------------------

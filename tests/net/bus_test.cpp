@@ -119,19 +119,20 @@ TEST(Bus, SetLossAfterDeliverIsContractViolation) {
   bus.deliver();
   // The loss model must cover the whole run; arming it mid-run would make
   // the drop sequence depend on when the caller got around to it.
-  EXPECT_THROW(bus.set_loss(0.5, 7), ContractViolation);
+  EXPECT_THROW(bus.set_faults(LinkFaults{.drop_probability = 0.5}, 7), ContractViolation);
 }
 
 TEST(Bus, SetLossTwiceIsContractViolation) {
   StrBus bus;
-  bus.set_loss(0.5, 7);
-  EXPECT_THROW(bus.set_loss(0.25, 8), ContractViolation);  // re-seeding resets the RNG
+  bus.set_faults(LinkFaults{.drop_probability = 0.5}, 7);
+  // Re-seeding resets the RNG.
+  EXPECT_THROW(bus.set_faults(LinkFaults{.drop_probability = 0.25}, 8), ContractViolation);
 }
 
 TEST(Bus, SetLossRejectsOutOfRangeProbability) {
   StrBus bus;
-  EXPECT_THROW(bus.set_loss(-0.1, 7), ContractViolation);
-  EXPECT_THROW(bus.set_loss(1.0, 7), ContractViolation);
+  EXPECT_THROW(bus.set_faults(LinkFaults{.drop_probability = -0.1}, 7), ContractViolation);
+  EXPECT_THROW(bus.set_faults(LinkFaults{.drop_probability = 1.0}, 7), ContractViolation);
 }
 
 TEST(Bus, SendToUnknownAgentIsContractViolation) {

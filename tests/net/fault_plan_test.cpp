@@ -51,27 +51,6 @@ TEST(FaultPlanBus, DropStreamIndependentOfRecipients) {
   EXPECT_EQ(seqs_one, seqs_many);
 }
 
-TEST(FaultPlanBus, LossOnlyFaultsMatchSetLossBitForBit) {
-  constexpr double kLoss = 0.25;
-  constexpr std::uint64_t kSeed = 7;
-  constexpr std::size_t kMessages = 300;
-
-  IntBus legacy;
-  const AgentId a = legacy.register_agent();
-  legacy.set_loss(kLoss, kSeed);
-  const auto legacy_seqs = surviving_seqs(legacy, {a}, kMessages);
-
-  IntBus planned;
-  const AgentId b = planned.register_agent();
-  planned.set_faults(LinkFaults{.drop_probability = kLoss}, kSeed);
-  const auto planned_seqs = surviving_seqs(planned, {b}, kMessages);
-
-  EXPECT_EQ(legacy_seqs, planned_seqs);
-  EXPECT_EQ(legacy.stats().messages_dropped, planned.stats().messages_dropped);
-  EXPECT_EQ(planned.stats().messages_duplicated, 0u);
-  EXPECT_EQ(planned.stats().messages_delayed, 0u);
-}
-
 TEST(FaultPlanBus, SameSeedSameDropsAcrossRuns) {
   const auto run = [] {
     IntBus bus;
@@ -182,7 +161,7 @@ TEST(FaultPlanBus, SetFaultsRejectsMisuse) {
   EXPECT_THROW(
       bus.set_faults(LinkFaults{.delay_probability = 0.5, .max_delay_rounds = 0}, 0),
       ContractViolation);
-  bus.set_loss(0.1, 0);
+  bus.set_faults(LinkFaults{.drop_probability = 0.1}, 0);
   EXPECT_THROW(bus.set_faults(LinkFaults{.drop_probability = 0.1}, 0),
                ContractViolation);  // at most one loss model per bus
 }

@@ -2,7 +2,9 @@
 // the paper's algorithm roster, and result printing.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -34,6 +36,48 @@ inline void add_jobs_flag(dmra::Cli& cli) {
 inline std::size_t jobs_from(const dmra::Cli& cli) {
   const std::int64_t v = cli.get_int("jobs");
   return v <= 0 ? 0 : static_cast<std::size_t>(v);
+}
+
+/// The comma-separated numbers of a numeric flag, each finite and at
+/// least `min` (and whole when `whole`). Anything else — text, NaN, a
+/// negative count that would wrap a std::size_t — exits 1 with an error
+/// naming the flag, so a typo never reaches a DMRA_REQUIRE or a silent
+/// default. Whole numbers must also stay below 2^53, where doubles stop
+/// being exact, so casting one to std::size_t is always defined.
+inline std::vector<double> checked_list(const dmra::Cli& cli, const std::string& name,
+                                        double min, bool whole = false) {
+  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  const std::string text = cli.get_string(name);
+  std::vector<double> values;
+  bool ok = true;
+  for (std::size_t pos = 0; ok && pos <= text.size();) {
+    const std::size_t comma = std::min(text.find(',', pos), text.size());
+    const std::string item = text.substr(pos, comma - pos);
+    char* end = nullptr;
+    const double v = std::strtod(item.c_str(), &end);
+    ok = !item.empty() && *end == '\0' && std::isfinite(v) && v >= min &&
+         (!whole || (v == std::floor(v) && v < kExactLimit));
+    values.push_back(v);
+    pos = comma + 1;
+  }
+  if (!ok) {
+    std::cerr << "error: --" << name << " takes " << (whole ? "whole" : "finite")
+              << " numbers >= " << min << ", got '" << text << "'\n";
+    std::exit(1);
+  }
+  return values;
+}
+
+/// checked_list for a flag that takes exactly one number.
+inline double checked_flag(const dmra::Cli& cli, const std::string& name, double min,
+                           bool whole = false) {
+  const std::vector<double> values = checked_list(cli, name, min, whole);
+  if (values.size() != 1) {
+    std::cerr << "error: --" << name << " takes one number, got '"
+              << cli.get_string(name) << "'\n";
+    std::exit(1);
+  }
+  return values[0];
 }
 
 /// Every bench takes --trace / --round-csv / --manifest: observability

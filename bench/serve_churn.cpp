@@ -140,26 +140,28 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const auto count = [&](const char* name, double min = 0.0) {
+    return static_cast<std::size_t>(dmra_bench::checked_flag(cli, name, min, true));
+  };
   dmra::ChurnConfig base;
   base.deployment = dmra_bench::paper_config();
-  base.arrival_rate_hz = cli.get_double("rate");
-  base.mean_dwell_s = cli.get_double("dwell");
-  base.mean_move_interval_s = cli.get_double("move-every");
-  base.horizon_events = static_cast<std::size_t>(cli.get_int("horizon"));
-  base.resolve_every = static_cast<std::size_t>(cli.get_int("resolve-every"));
-  base.readmit_every = static_cast<std::size_t>(cli.get_int("readmit-every"));
-  base.recovery_batch = static_cast<std::size_t>(cli.get_int("recovery-batch"));
-  base.regions = static_cast<std::size_t>(cli.get_int("regions"));
-  base.incremental.dmra.rho = cli.get_double("rho");
+  base.arrival_rate_hz = dmra_bench::checked_flag(cli, "rate", 0.0);
+  base.mean_dwell_s = dmra_bench::checked_flag(cli, "dwell", 0.0);
+  base.mean_move_interval_s = dmra_bench::checked_flag(cli, "move-every", 0.0);
+  base.horizon_events = count("horizon");
+  base.resolve_every = count("resolve-every");
+  base.readmit_every = count("readmit-every");
+  base.recovery_batch = count("recovery-batch");
+  base.regions = count("regions", 1.0);
+  base.incremental.dmra.rho = dmra_bench::checked_flag(cli, "rho", 0.0);
+  const double prefill = dmra_bench::checked_flag(cli, "prefill", -1.0, true);
   base.slo_p99_ns =
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, cli.get_int("slo-p99-us"))) *
       1000u;
   base.slo_window_events =
       static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("slo-window")));
   base.faults = dmra_bench::faults_from(cli);
-  base.prefill = cli.get_int("prefill") < 0
-                     ? base.steady_state_target()
-                     : static_cast<std::size_t>(cli.get_int("prefill"));
+  base.prefill = prefill < 0.0 ? base.steady_state_target() : static_cast<std::size_t>(prefill);
 
   const std::size_t num_seeds =
       std::max<std::int64_t>(1, cli.get_int("seeds"));

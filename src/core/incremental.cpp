@@ -1,6 +1,6 @@
 #include "core/incremental.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "mec/audit.hpp"
 #include "mec/resources.hpp"
@@ -9,93 +9,31 @@
 #include "util/require.hpp"
 
 namespace dmra {
+namespace {
 
-IncrementalResult solve_incremental_dmra(const Scenario& scenario,
-                                         const Allocation& previous,
-                                         const IncrementalConfig& config) {
-  DMRA_REQUIRE(previous.num_ues() == scenario.num_ues());
-  DMRA_REQUIRE(config.hysteresis_margin >= 0.0);
-
-  IncrementalResult result;
-  ResourceState state(scenario);
-  Allocation allocation(scenario.num_ues());
-  std::vector<bool> matched(scenario.num_ues(), false);
-
-  // Phase 1: carry over what still works. Commit in UE-id order so a BS
-  // that can no longer hold *all* its previous UEs keeps a deterministic
-  // prefix of them.
-  // dmra::hotpath begin(carry-over)
-  for (std::size_t ui = 0; ui < scenario.num_ues(); ++ui) {
-    const UeId u{static_cast<std::uint32_t>(ui)};
-    const auto bs = previous.bs_of(u);
-    if (!bs) continue;
-    if (!state.can_serve(u, *bs)) {
-      ++result.invalidated;
-      continue;
-    }
-    state.commit(u, *bs);
-    allocation.assign(u, *bs);
-    matched[ui] = true;
+/// The deployment as slot u sees it right now: every BS's capacity is its
+/// live remaining capacity, and u (renumbered to UE 0) is the only UE.
+Scenario residual_scenario(const Scenario& universe, const ResourceState& state, UeId u) {
+  ScenarioData data;
+  data.num_services = universe.num_services();
+  data.sps.assign(universe.sps().begin(), universe.sps().end());
+  data.bss.assign(universe.bss().begin(), universe.bss().end());
+  for (BaseStation& b : data.bss) {
+    for (std::size_t j = 0; j < data.num_services; ++j)
+      b.cru_capacity[j] = state.remaining_crus(b.id, ServiceId{static_cast<std::uint32_t>(j)});
+    b.num_rrbs = state.remaining_rrbs(b.id);
   }
-  // dmra::hotpath end(carry-over)
-
-  // Phase 2: hysteresis — release kept UEs whose current deal has drifted
-  // far from their best alternative. (Release before re-matching so the
-  // freed capacity is visible to the rematch round.)
-  // dmra::hotpath begin(hysteresis)
-  if (config.hysteresis_margin < 1e17) {
-    for (std::size_t ui = 0; ui < scenario.num_ues(); ++ui) {
-      if (!matched[ui]) continue;
-      const UeId u{static_cast<std::uint32_t>(ui)};
-      const BsId current = *allocation.bs_of(u);
-      const double current_price = scenario.price(u, current);
-      double best_price = current_price;
-      // Candidate prices are precomputed per slot at scenario build; the
-      // carried BS may have left the candidate set, so it is priced above.
-      for (const double p : scenario.candidate_prices(u))
-        best_price = std::min(best_price, p);
-      if (current_price - best_price > config.hysteresis_margin) {
-        state.release(u, current);
-        allocation.assign_cloud(u);
-        matched[ui] = false;
-        ++result.released;
-      }
-    }
-  }
-  // dmra::hotpath end(hysteresis)
-  result.kept = allocation.num_served();
-  // Audit the carry-over + hysteresis state before the rematch: catches a
-  // kept assignment that is no longer feasible or an unpaired release.
-  if (DMRA_AUDIT_ACTIVE())
-    audit::report_state_round("core/incremental", 0, scenario, allocation, state);
-
-  obs::TraceRecorder* const rec = obs::recorder();
-  obs::FlightRecorder* const fr = obs::flight();
-  if (rec != nullptr || fr != nullptr) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kPhase;
-    e.label = "core/incremental:carry-over";
-    e.value = result.kept;
-    const auto publish = [&](obs::MetricsRegistry& m) {
-      m.add_counter("incremental.kept", result.kept);
-      m.add_counter("incremental.released", result.released);
-      m.add_counter("incremental.invalidated", result.invalidated);
-    };
-    if (rec != nullptr) {
-      publish(rec->metrics());
-      rec->record(e);
-    }
-    if (fr != nullptr) {
-      publish(fr->metrics());
-      fr->record(e);
-    }
-  }
-
-  // Phase 3: match everyone displaced or never-assigned.
-  result.rematch = solve_dmra_partial(scenario, config.dmra, state, allocation, matched);
-  result.allocation = allocation;
-  return result;
+  UserEquipment slot = universe.ue(u);
+  slot.id = UeId{0};
+  data.ues.push_back(slot);
+  data.channel = universe.channel();
+  data.ofdma = universe.ofdma();
+  data.pricing = universe.pricing();
+  data.coverage_radius_m = universe.coverage_radius_m();
+  return Scenario(std::move(data));
 }
+
+}  // namespace
 
 IncrementalAllocator::IncrementalAllocator(const Scenario& scenario,
                                            IncrementalConfig config)
@@ -105,9 +43,13 @@ IncrementalAllocator::IncrementalAllocator(const Scenario& scenario,
       allocation_(scenario.num_ues()),
       active_(scenario.num_ues(), false),
       waiting_((scenario.num_ues() + 63) / 64, 0),
-      clamped_(scenario.num_bss(), false) {}
+      clamped_(scenario.num_bss(), false) {
+  DMRA_REQUIRE_MSG(config_.rule == nullptr || scenario.channel().shadowing_sigma_db == 0.0,
+                   "an admission rule needs an unshadowed channel");
+}
 
 std::optional<BsId> IncrementalAllocator::admit(UeId u) {
+  DMRA_REQUIRE_MSG(u.idx() < active_.size(), "slot outside the universe");
   DMRA_REQUIRE_MSG(!active_[u.idx()], "admit on an already-active slot");
   active_[u.idx()] = true;
   ++num_active_;
@@ -115,38 +57,60 @@ std::optional<BsId> IncrementalAllocator::admit(UeId u) {
 }
 
 std::optional<BsId> IncrementalAllocator::reattempt(UeId u) {
+  DMRA_REQUIRE_MSG(u.idx() < active_.size(), "slot outside the universe");
   DMRA_REQUIRE_MSG(active_[u.idx()], "reattempt on an inactive slot");
   DMRA_REQUIRE_MSG(allocation_.is_cloud(u), "reattempt on a served slot");
   return place(u);
 }
 
+std::optional<BsId> IncrementalAllocator::ask_rule(UeId u, std::uint32_t& live_fu) const {
+  const Scenario residual = residual_scenario(*scenario_, state_, u);
+  live_fu = static_cast<std::uint32_t>(residual.coverage_count(UeId{0}));
+  // The rule is a whole one-shot run: keep its rounds out of the serving
+  // trace and flight ring. The audit observer stays, so the rule's own
+  // round reports audit its residual run.
+  const Allocation answer = [&] {
+    obs::ScopedTraceRecorder mute_trace(nullptr);
+    obs::ScopedFlightRecorder mute_flight(nullptr);
+    return config_.rule->allocate(residual);
+  }();
+  const std::optional<BsId> bs = answer.bs_of(UeId{0});
+  DMRA_REQUIRE_MSG(!bs || state_.can_serve(u, *bs),
+                   "admission rule chose a BS that cannot carry the slot");
+  return bs;
+}
+
 std::optional<BsId> IncrementalAllocator::place(UeId u) {
-  // Alg. 1 with a single proposer: arg-min Eq. 17 preference over the
-  // serviceable candidates; an uncontended BS accepts any feasible
-  // proposal, so the first proposal round decides.
-  // dmra::hotpath begin(admit-one)
   const UserEquipment& e = scenario_->ue(u);
   const std::span<const BsId> cands = scenario_->candidates(u);
-  const std::span<const double> prices = scenario_->candidate_prices(u);
-  const std::span<const std::uint32_t> rrbs = scenario_->candidate_rrbs(u);
   std::optional<BsId> best;
-  double best_v = 0.0;
   std::uint32_t live_fu = 0;
-  for (std::size_t k = 0; k < cands.size(); ++k) {
-    const BsId i = cands[k];
-    const std::uint32_t rem_cru = state_.remaining_crus(i, e.service);
-    const std::uint32_t rem_rrb = state_.remaining_rrbs(i);
-    if (rem_cru < e.cru_demand || rem_rrb < rrbs[k]) continue;
-    ++live_fu;
-    const double v = ue_preference_value(prices[k], config_.dmra.rho, rem_cru, rem_rrb);
-    // Ties break toward the smaller BsId — candidates are ascending, so
-    // strict < keeps the earlier (smaller) one.
-    if (!best || v < best_v) {
-      best = i;
-      best_v = v;
+  if (config_.rule != nullptr) {
+    best = ask_rule(u, live_fu);
+  } else {
+    // Alg. 1 with a single proposer: arg-min Eq. 17 preference over the
+    // serviceable candidates; an uncontended BS accepts any feasible
+    // proposal, so the first proposal round decides.
+    // dmra::hotpath begin(admit-one)
+    const std::span<const double> prices = scenario_->candidate_prices(u);
+    const std::span<const std::uint32_t> rrbs = scenario_->candidate_rrbs(u);
+    double best_v = 0.0;
+    for (std::size_t k = 0; k < cands.size(); ++k) {
+      const BsId i = cands[k];
+      const std::uint32_t rem_cru = state_.remaining_crus(i, e.service);
+      const std::uint32_t rem_rrb = state_.remaining_rrbs(i);
+      if (rem_cru < e.cru_demand || rem_rrb < rrbs[k]) continue;
+      ++live_fu;
+      const double v = ue_preference_value(prices[k], config_.dmra.rho, rem_cru, rem_rrb);
+      // Ties break toward the smaller BsId — candidates are ascending, so
+      // strict < keeps the earlier (smaller) one.
+      if (!best || v < best_v) {
+        best = i;
+        best_v = v;
+      }
     }
+    // dmra::hotpath end(admit-one)
   }
-  // dmra::hotpath end(admit-one)
 
   obs::TraceRecorder* const rec = obs::recorder();
   if (!best) {
@@ -180,6 +144,7 @@ std::optional<BsId> IncrementalAllocator::place(UeId u) {
 }
 
 void IncrementalAllocator::remove(UeId u) {
+  DMRA_REQUIRE_MSG(u.idx() < active_.size(), "slot outside the universe");
   DMRA_REQUIRE_MSG(active_[u.idx()], "remove on an inactive slot");
   active_[u.idx()] = false;
   --num_active_;
@@ -187,10 +152,7 @@ void IncrementalAllocator::remove(UeId u) {
   const auto bs = allocation_.bs_of(u);
   if (!bs) return;  // was cloud-forwarded; nothing held
   live_profit_ -= scenario_->pair_profit(u, *bs);
-  // A crashed/degraded BS's ledger is clamped, not committed: releasing
-  // into the clamp would manufacture capacity. Recount on recovery
-  // instead (recover_bs).
-  if (!clamped_[bs->idx()]) state_.release(u, *bs);
+  state_.release(u, *bs);
   allocation_.assign_cloud(u);
 }
 

@@ -1,15 +1,8 @@
-// Incremental DMRA re-allocation — the paper's "continuously adjust the
-// resource allocation scheme" (§V/§VII) made operational.
-//
-// Full re-runs treat every step as a fresh problem and churn the
-// association (bench abl7). Incremental re-allocation instead:
-//   1. keeps every previous assignment that is still valid in the new
-//      scenario (UE still covered, BS still able to carry it),
-//   2. optionally releases kept UEs whose current BS has become much
-//      worse than their best alternative (price gap > hysteresis margin),
-//   3. runs the DMRA matching only over the displaced/new UEs against the
-//      remaining capacity.
-// Result: the same matching logic, a fraction of the handovers.
+// Incremental DMRA serving — the paper's "continuously adjust the
+// resource allocation scheme" (§V/§VII) made operational: a persistent
+// allocator that admits, re-places and releases one UE at a time against
+// a live ledger, fed one event at a time by the serving driver
+// (sim/churn.hpp, docs/SERVING.md).
 #pragma once
 
 #include <bit>
@@ -19,46 +12,24 @@
 
 #include "core/solver.hpp"
 #include "mec/allocation.hpp"
+#include "mec/allocator.hpp"
 #include "mec/resources.hpp"
 
 namespace dmra {
 
-/// Tuning for the keep/release/re-match split.
 struct IncrementalConfig {
-  /// Matching parameters for the partial re-run (step 3). The same config
-  /// shape the full solver and the decentralized runtime take, so sweeps
-  /// can share one DmraConfig across all three entry points.
+  /// ρ of the built-in Eq. 17 rule; sim/churn's periodic re-solve runs
+  /// solve_dmra_partial with the whole config.
   DmraConfig dmra;
-  /// A kept UE is released for re-matching only if its current price
-  /// exceeds its best candidate's price by more than this margin (per
-  /// CRU). infinity-like large values mean "never switch voluntarily";
-  /// 0 re-evaluates everyone whose BS is no longer their best.
-  double hysteresis_margin = 1e18;
+  /// Optional admission rule (docs/SERVING.md, "Admission rules").
+  /// nullptr keeps the built-in single-proposer Eq. 17 rule. Otherwise
+  /// every placement asks this one-shot allocator about the slot alone,
+  /// on a residual scenario: the deployment with the live remaining
+  /// capacities and that slot as its only UE. The rule must outlive the
+  /// allocator, and the channel must be unshadowed: the residual renumbers
+  /// the slot to UE 0, and shadowing draws are keyed by UE id.
+  const Allocator* rule = nullptr;
 };
-
-/// Outcome of one incremental step, with the churn budget itemized:
-/// kept + released + invalidated + (new UEs) partitions the population.
-struct IncrementalResult {
-  Allocation allocation{0};    ///< the full new allocation (every UE)
-  std::size_t kept = 0;        ///< assignments carried over unchanged
-  std::size_t released = 0;    ///< kept-capable but released by hysteresis
-  std::size_t invalidated = 0; ///< previous assignments no longer feasible
-  /// The partial DMRA run over displaced UEs (solve_dmra_partial):
-  /// rematch.rounds / proposals_sent / rejections measure only the
-  /// incremental work, which is the point of the comparison in abl7.
-  DmraResult rematch;
-};
-
-/// Re-allocate `scenario` starting from `previous` (same UE ids; typically
-/// the same population at new positions). Deterministic for a fixed
-/// (scenario, previous, config) triple. `previous` may come from any
-/// allocator — the validity check in step 1 only asks whether the old
-/// assignment is feasible in the new scenario, not how it was produced.
-/// The same solve_dmra_partial building block also backs the
-/// fault-recovery repair pass in core/decentralized.cpp.
-IncrementalResult solve_incremental_dmra(const Scenario& scenario,
-                                         const Allocation& previous,
-                                         const IncrementalConfig& config = {});
 
 /// A persistent allocator process over one (immutable) scenario: the
 /// explicit remove/re-admit surface the serving driver (sim/churn.hpp)
@@ -76,7 +47,9 @@ IncrementalResult solve_incremental_dmra(const Scenario& scenario,
 /// an uncontended BS accepts any feasible proposal, so one proposal round
 /// decides — provably the same outcome solve_dmra_partial computes for
 /// one unmatched UE (pinned by tests/core/incremental_test.cpp), at
-/// O(|candidates(u)|) per decision instead of O(|U|).
+/// O(|candidates(u)|) per decision instead of O(|U|). With
+/// IncrementalConfig::rule set, the rule decides instead; the ledger,
+/// waiting set and fault surface below are the same for every rule.
 ///
 /// Fault surface (event-timeline injection, docs/RESILIENCE.md): crash
 /// and degradation clamp the live ledger below nominal capacity via
@@ -84,7 +57,9 @@ IncrementalResult solve_incremental_dmra(const Scenario& scenario,
 /// recount_remaining. While any clamp is active the ledger legitimately
 /// disagrees with a from-scratch recount, so audit_round() mutes itself —
 /// the same "repair under muted auditor" rule the decentralized runtime
-/// follows — and reports again once capacity_nominal() returns true.
+/// follows — and reports again only once every clamped BS has recovered.
+/// FaultPlan degradations never recover, so after one the audit stays
+/// muted for the rest of the run.
 class IncrementalAllocator {
  public:
   explicit IncrementalAllocator(const Scenario& scenario, IncrementalConfig config = {});
@@ -110,7 +85,9 @@ class IncrementalAllocator {
   template <typename OnPlaced>
   void readmit_waiting(OnPlaced&& on_placed);
 
-  /// Remove active slot u, releasing its resources (departure).
+  /// Remove active slot u, releasing its resources (departure). Releases
+  /// on a degraded BS too: a clamp scales only *remaining* capacity, so
+  /// what u held was never part of it. (A crashed BS serves nobody.)
   void remove(UeId u);
 
   bool active(UeId u) const { return active_[u.idx()]; }
@@ -149,9 +126,14 @@ class IncrementalAllocator {
   double live_profit() const { return live_profit_; }
 
  private:
-  /// The shared single-proposer decision: arg-min Eq. 17 over serviceable
-  /// candidates, commit on success, cloud otherwise.
+  /// The shared decision: the rule's choice, or arg-min Eq. 17 over
+  /// serviceable candidates without one; commit on success, cloud
+  /// otherwise.
   std::optional<BsId> place(UeId u);
+
+  /// config_.rule's answer for slot u on the residual scenario, with the
+  /// trace and flight recorders muted; live_fu gets the residual's |B_u|.
+  std::optional<BsId> ask_rule(UeId u, std::uint32_t& live_fu) const;
 
   // dmra::hotpath begin(waiting-set)
   void set_waiting(UeId u) { waiting_[u.idx() / 64] |= std::uint64_t{1} << (u.idx() % 64); }

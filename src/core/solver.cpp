@@ -39,7 +39,7 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
   result.allocation = Allocation(0);  // filled at the end
 
   // Tracing: a single pointer test when disabled. traced_profit seeds from
-  // the carried-over allocation so incremental re-solves report the true
+  // the carried-over allocation so partial re-solves report the true
   // cumulative figure, not just this call's delta.
   obs::TraceRecorder* const rec = obs::recorder();
   double traced_profit = 0.0;

@@ -33,7 +33,8 @@ class ResourceState;
 /// resource state: UEs with matched[u] == true never propose; everyone
 /// else is matched into whatever `state` has left. On return, `state`,
 /// `allocation`, and `matched` reflect the new assignments. This is the
-/// building block for incremental re-allocation (core/incremental.hpp).
+/// building block of the fault-recovery repair and sharded reconcile
+/// passes (core/) and of the serving loop's periodic re-solve (sim/churn).
 DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config,
                               ResourceState& state, Allocation& allocation,
                               std::vector<bool>& matched);

@@ -35,7 +35,6 @@
 
 #include "market/adaptive_pricing.hpp"
 
-#include "mobility/handover.hpp"
 #include "mobility/models.hpp"
 
 #include "net/bus.hpp"
@@ -62,7 +61,6 @@
 #include "sim/faults.hpp"
 #include "sim/feasibility.hpp"
 #include "sim/metrics.hpp"
-#include "sim/online.hpp"
 #include "sim/qos.hpp"
 #include "sim/render.hpp"
 

@@ -63,8 +63,8 @@ Scenario::Scenario(ScenarioData data) : data_(std::move(data)) {
 
 void Scenario::validate() const {
   DMRA_REQUIRE_MSG(!data_.sps.empty(), "scenario needs at least one SP");
-  // Zero BSs (and zero UEs) are legal degenerate instances: a residual
-  // scenario of an online run, or a region with no deployment yet. Every
+  // Zero BSs (and zero UEs) are legal degenerate instances: a churn
+  // timeline with no arrivals, or a region with no deployment yet. Every
   // UE is then cloud-forwarded; metrics and allocators must cope.
   DMRA_REQUIRE_MSG(data_.num_services > 0, "scenario needs at least one service");
   DMRA_REQUIRE(data_.coverage_radius_m > 0.0);
@@ -78,8 +78,9 @@ void Scenario::validate() const {
     DMRA_REQUIRE_MSG(b.sp.idx() < data_.sps.size(), "BS references unknown SP");
     DMRA_REQUIRE_MSG(b.cru_capacity.size() == data_.num_services,
                      "BS CRU capacity vector must cover every service");
-    // num_rrbs == 0 is allowed: a radio-exhausted BS (e.g. in a residual
-    // scenario of an online run) simply can never be a candidate.
+    // num_rrbs == 0 is allowed: a radio-exhausted BS (e.g. in the residual
+    // scenario a serving admission rule sees) simply can never be a
+    // candidate.
   }
 
   for (std::size_t u = 0; u < data_.ues.size(); ++u) {

@@ -94,9 +94,9 @@ struct ScenarioData {
 /// Throws ContractViolation if the data is inconsistent (non-contiguous
 /// ids, out-of-range SP/service references, no SPs or services, or a
 /// pricing configuration violating Eq. 16 anywhere in the deployment).
-/// Zero-BS and zero-UE instances are legal degenerate cases (e.g. the
-/// residual scenario of a drained online run): candidate sets are simply
-/// empty and every UE is cloud-forwarded.
+/// Zero-BS and zero-UE instances are legal degenerate cases (e.g. a
+/// churn timeline with no arrivals): candidate sets are simply empty and
+/// every UE is cloud-forwarded.
 class Scenario {
  public:
   explicit Scenario(ScenarioData data);

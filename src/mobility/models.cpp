@@ -1,23 +1,12 @@
 #include "mobility/models.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/require.hpp"
 
 namespace dmra {
 
 namespace {
-
-class StaticModel final : public MobilityModel {
- public:
-  explicit StaticModel(std::vector<Point> initial) : positions_(std::move(initial)) {}
-  const std::vector<Point>& positions() const override { return positions_; }
-  void advance(double dt_s) override { DMRA_REQUIRE(dt_s >= 0.0); }
-
- private:
-  std::vector<Point> positions_;
-};
 
 class RandomWaypointModel final : public MobilityModel {
  public:
@@ -82,77 +71,12 @@ class RandomWaypointModel final : public MobilityModel {
   std::vector<UeState> states_;
 };
 
-class GaussMarkovModel final : public MobilityModel {
- public:
-  GaussMarkovModel(std::vector<Point> initial, const GaussMarkovConfig& config, Rng rng)
-      : config_(config), rng_(std::move(rng)), positions_(std::move(initial)) {
-    DMRA_REQUIRE(config_.alpha >= 0.0 && config_.alpha < 1.0);
-    DMRA_REQUIRE(config_.mean_speed_mps >= 0.0);
-    DMRA_REQUIRE(config_.speed_sigma_mps >= 0.0);
-    velocities_.resize(positions_.size());
-    for (auto& v : velocities_) v = draw_velocity();
-  }
-
-  const std::vector<Point>& positions() const override { return positions_; }
-
-  void advance(double dt_s) override {
-    DMRA_REQUIRE(dt_s >= 0.0);
-    const double a = config_.alpha;
-    const double noise_scale = std::sqrt(1.0 - a * a);
-    for (std::size_t i = 0; i < positions_.size(); ++i) {
-      // Correlated velocity update (component-wise Gauss–Markov).
-      const Point fresh = draw_velocity();
-      velocities_[i].x = a * velocities_[i].x + noise_scale * fresh.x;
-      velocities_[i].y = a * velocities_[i].y + noise_scale * fresh.y;
-      positions_[i].x += velocities_[i].x * dt_s;
-      positions_[i].y += velocities_[i].y * dt_s;
-      reflect(positions_[i].x, velocities_[i].x, config_.area.x0, config_.area.x1);
-      reflect(positions_[i].y, velocities_[i].y, config_.area.y0, config_.area.y1);
-    }
-  }
-
- private:
-  Point draw_velocity() {
-    // Isotropic direction; speed ~ N(mean, sigma) clamped at 0.
-    const double angle = rng_.uniform_real(0.0, 6.283185307179586);
-    const double speed =
-        std::max(0.0, rng_.gaussian(config_.mean_speed_mps, config_.speed_sigma_mps));
-    return {speed * std::cos(angle), speed * std::sin(angle)};
-  }
-
-  static void reflect(double& coord, double& velocity, double lo, double hi) {
-    if (coord < lo) {
-      coord = lo + (lo - coord);
-      velocity = -velocity;
-    } else if (coord > hi) {
-      coord = hi - (coord - hi);
-      velocity = -velocity;
-    }
-    // A huge step could overshoot twice; clamp as the backstop.
-    coord = std::clamp(coord, lo, hi);
-  }
-
-  GaussMarkovConfig config_;
-  Rng rng_;
-  std::vector<Point> positions_;
-  std::vector<Point> velocities_;  // component-wise velocity, m/s
-};
-
 }  // namespace
 
 std::unique_ptr<MobilityModel> make_random_waypoint(std::vector<Point> initial,
                                                     const RandomWaypointConfig& config,
                                                     Rng rng) {
   return std::make_unique<RandomWaypointModel>(std::move(initial), config, std::move(rng));
-}
-
-std::unique_ptr<MobilityModel> make_gauss_markov(std::vector<Point> initial,
-                                                 const GaussMarkovConfig& config, Rng rng) {
-  return std::make_unique<GaussMarkovModel>(std::move(initial), config, std::move(rng));
-}
-
-std::unique_ptr<MobilityModel> make_static(std::vector<Point> initial) {
-  return std::make_unique<StaticModel>(std::move(initial));
 }
 
 }  // namespace dmra

@@ -1,15 +1,10 @@
-// UE mobility models.
+// UE mobility: the random-waypoint process behind sim/churn's kMove
+// events. The paper motivates DMRA with an environment that "changes over
+// time" (§V: the best association changes as UEs move); the serving
+// driver re-associates a UE each time its waypoint process moves it.
 //
-// The paper motivates DMRA with an environment that "changes over time"
-// (§V: the best association changes as UEs move); this module supplies
-// the movement processes, and mobility/handover.hpp re-runs an allocator
-// over the moving population to measure what that costs.
-//
-// Two classic models:
-//  * RandomWaypoint — pick a uniform destination, travel at a uniform
-//    speed, pause, repeat. The standard ad-hoc evaluation model.
-//  * GaussMarkov  — temporally-correlated velocity (tunable memory α),
-//    reflecting at the area boundary. Smooth, no teleport-like turns.
+// RandomWaypoint — pick a uniform destination, travel at a uniform speed,
+// pause, repeat. The standard ad-hoc evaluation model.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +17,7 @@
 namespace dmra {
 
 /// Advances a population of positions through time. Implementations own
-/// all per-UE state (destinations, velocities, pause clocks).
+/// all per-UE state (destinations, speeds, pause clocks).
 class MobilityModel {
  public:
   virtual ~MobilityModel() = default;
@@ -45,21 +40,5 @@ struct RandomWaypointConfig {
 std::unique_ptr<MobilityModel> make_random_waypoint(std::vector<Point> initial,
                                                     const RandomWaypointConfig& config,
                                                     Rng rng);
-
-struct GaussMarkovConfig {
-  Rect area{0.0, 0.0, 1200.0, 1200.0};
-  double mean_speed_mps = 5.0;
-  double speed_sigma_mps = 2.0;
-  /// Memory parameter α in [0, 1): 0 = fresh random velocity every step,
-  /// →1 = nearly constant velocity.
-  double alpha = 0.75;
-};
-
-/// Build a Gauss–Markov process over `initial` positions.
-std::unique_ptr<MobilityModel> make_gauss_markov(std::vector<Point> initial,
-                                                 const GaussMarkovConfig& config, Rng rng);
-
-/// A model that never moves (control case for handover studies).
-std::unique_ptr<MobilityModel> make_static(std::vector<Point> initial);
 
 }  // namespace dmra

@@ -1,8 +1,8 @@
 // Typed per-round trace events emitted by the matching runtime.
 //
-// The decentralized protocol, the direct solver, the incremental
-// re-allocator, and the online simulator all narrate their progress as a
-// stream of these events plus one RoundRow per proposal round. The
+// The decentralized protocol, the direct solver, and the serving loop
+// (the incremental allocator under sim/churn) all narrate their progress
+// as a stream of these events plus one RoundRow per proposal round. The
 // stream is purely *logical*: no wall-clock timestamps, so a seeded run
 // produces a byte-identical trace every time and exports can be
 // golden-tested (docs/OBSERVABILITY.md). Wall-clock measurements live in
@@ -73,11 +73,11 @@ struct TraceEvent {
   std::uint64_t seq = 0;    ///< order within the slot
 };
 
-/// One proposal round (or online epoch) of aggregate metrics — the rows
+/// One proposal round (or serving event) of aggregate metrics — the rows
 /// of the per-round CSV exporter and the slices of the Chrome trace.
 struct RoundRow {
   /// Instrumentation site, e.g. "core/solver", "core/decentralized",
-  /// "sim/online". Same storage rule as TraceEvent::label.
+  /// "sim/churn". Same storage rule as TraceEvent::label.
   std::string_view source;
   std::uint64_t round = 0;
   std::uint64_t proposals = 0;

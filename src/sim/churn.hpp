@@ -1,5 +1,5 @@
 // Allocator-as-a-service: the long-horizon, event-driven serving driver
-// (ROADMAP item 3, docs/SERVING.md).
+// (docs/SERVING.md).
 //
 // Production MEC is not a batch problem: UEs arrive, dwell, move, and
 // leave while the allocator keeps serving. This module turns the paper's
@@ -10,10 +10,13 @@
 //   * mobility re-associations (random-waypoint moves, src/mobility),
 // applied one event at a time through a persistent IncrementalAllocator
 // (core/incremental.hpp) with the InvariantAuditor live at the audit
-// seam, measuring what a service operator cares about: per-decision
-// p50/p99/p999 latency, re-allocation churn, steady-state profit against
-// a periodic from-scratch re-solve, and recovery time after injected
-// faults (sim/faults plans interpreted on the event timeline).
+// seam. It is the repo's one serving driver: DMRA's built-in Eq. 17 rule
+// decides by default, and any one-shot Allocator can decide instead
+// (IncrementalConfig::rule). It measures what a service operator cares
+// about: per-decision p50/p99/p999 latency, re-allocation churn,
+// steady-state profit against a periodic from-scratch re-solve, and
+// recovery time after injected faults (sim/faults plans interpreted on
+// the event timeline).
 //
 // Determinism contract (docs/SERVING.md): the event timeline, every
 // allocation decision, and the event log are pure functions of

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -19,7 +20,8 @@
 #include "core/dmra_allocator.hpp"
 #include "core/incremental.hpp"
 #include "mec/resources.hpp"
-#include "sim/online.hpp"
+#include "sim/churn.hpp"
+#include "sim/feasibility.hpp"
 #include "workload/generator.hpp"
 
 namespace dmra {
@@ -243,29 +245,57 @@ TEST(Auditor, DecentralizedRunsCleanUnderAudit) {
   EXPECT_TRUE(auditor.findings().ok);
 }
 
+// The serving allocator's own audit seam: audit_round() after every
+// admission, departure and readmit sweep, on a deployment contended
+// enough to leave cloud dwellers for the sweeps to place.
 TEST(Auditor, IncrementalRunsCleanUnderAudit) {
   ScenarioConfig cfg;
-  cfg.num_ues = 30;
+  cfg.bss_per_sp = 2;
+  cfg.num_ues = 600;
   const Scenario s = generate_scenario(cfg, 11);
-  const Allocation first = DmraAllocator().allocate(s);
   InvariantAuditor auditor;
   audit::ScopedAuditObserver guard(&auditor);
-  const IncrementalResult r = solve_incremental_dmra(s, first);
-  EXPECT_TRUE(check_feasibility(s, r.allocation).ok);
+  IncrementalAllocator inc(s);
+  for (std::uint32_t u = 0; u < s.num_ues(); ++u) {
+    inc.admit(UeId{u});
+    inc.audit_round(0);
+  }
+  for (std::uint32_t u = 0; u < s.num_ues(); u += 3) {
+    inc.remove(UeId{u});
+    inc.audit_round(0);
+  }
+  std::size_t readmitted = 0;
+  inc.readmit_waiting([&](UeId, BsId) { ++readmitted; });
+  inc.audit_round(0);
+  EXPECT_GT(readmitted, 0u);
+  EXPECT_TRUE(check_feasibility(s, inc.allocation()).ok);
   EXPECT_TRUE(auditor.findings().ok);
+#if defined(DMRA_AUDIT_ENABLED) && DMRA_AUDIT_ENABLED
+  EXPECT_GT(auditor.rounds_audited(), s.num_ues());
+#endif
 }
 
+// Online serving with a one-shot allocator deciding every placement: the
+// serving ledger and the rule's own runs on the residual scenarios.
 TEST(Auditor, OnlineSimulatorRunsCleanUnderAudit) {
-  OnlineConfig cfg;
-  cfg.scenario.num_ues = 20;
-  cfg.epochs = 6;
+  ChurnConfig cfg;
+  cfg.deployment.bss_per_sp = 2;
+  cfg.arrival_rate_hz = 6.0;
+  cfg.mean_dwell_s = 20.0;
+  cfg.horizon_events = 300;
+  cfg.readmit_every = 16;
+  cfg.seed = 6;
   const DmraAllocator allocator;
+  cfg.incremental.rule = &allocator;
   InvariantAuditor auditor;
   audit::ScopedAuditObserver guard(&auditor);
-  OnlineSimulator sim(cfg, allocator);
-  const OnlineResult result = sim.run();
-  EXPECT_EQ(result.epochs.size(), 6u);
+  const ChurnResult result = run_churn(cfg);
+  EXPECT_EQ(result.stats.events, cfg.horizon_events);
+  EXPECT_GT(result.stats.departures, 0u);
   EXPECT_TRUE(auditor.findings().ok);
+#if defined(DMRA_AUDIT_ENABLED) && DMRA_AUDIT_ENABLED
+  EXPECT_GT(auditor.rounds_audited(), result.stats.events);  // the rule's rounds too
+#endif
 }
 
 TEST(Auditor, EnvFactoryYieldsProcessAuditor) {

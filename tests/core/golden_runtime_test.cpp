@@ -9,11 +9,9 @@
 // must never drift — a mismatch means the rework changed observable
 // behavior, not just performance.
 //
-// Three probes per seed:
+// Two probes per seed:
 //  * decentralized — fault-free protocol run with a trace recorder
 //    installed (hashes cover the Chrome-trace JSON and round CSV bytes),
-//  * incremental   — carry-over/hysteresis/rematch against a re-rolled
-//    scenario, seeded from the decentralized allocation,
 //  * faulted       — loss+crash+degradation plan (dup/delay are
 //    bus-level mechanisms, pinned by BusFaultStreamPinned), recovery
 //    counters included, so the fault-path draw order is pinned too.
@@ -48,8 +46,8 @@
 
 #include <vector>
 
+#include "../test_util.hpp"
 #include "core/decentralized.hpp"
-#include "core/incremental.hpp"
 #include "net/bus.hpp"
 #include "core/solver.hpp"
 #include "mec/allocation.hpp"
@@ -86,12 +84,6 @@ struct GoldenRow {
   std::uint64_t dec_profit_bits;
   std::uint64_t dec_trace_hash;  ///< FNV-1a of to_chrome_trace_json()
   std::uint64_t dec_csv_hash;    ///< FNV-1a of to_round_csv()
-  // Incremental step onto the re-rolled scenario.
-  std::uint64_t inc_kept;
-  std::uint64_t inc_released;
-  std::uint64_t inc_invalidated;
-  std::uint64_t inc_rematch_rounds;
-  std::uint64_t inc_profit_bits;
   // Faulted decentralized run (loss+crash+degrade).
   std::uint64_t flt_bus_rounds;
   std::uint64_t flt_messages_sent;
@@ -121,19 +113,6 @@ GoldenRow run_probes(std::uint64_t seed) {
     row.dec_profit_bits = profit_bits(s, dec.dmra.allocation);
     row.dec_trace_hash = fnv1a(rec.to_chrome_trace_json());
     row.dec_csv_hash = fnv1a(rec.to_round_csv());
-
-    // The incremental step re-rolls the scenario (same population size,
-    // fresh positions) and carries the decentralized allocation forward.
-    const Scenario s2 = generate_scenario(cfg, seed + 1000);
-    IncrementalConfig ic;
-    ic.hysteresis_margin = 0.0;  // exercise voluntary release too
-    const IncrementalResult inc =
-        solve_incremental_dmra(s2, dec.dmra.allocation, ic);
-    row.inc_kept = inc.kept;
-    row.inc_released = inc.released;
-    row.inc_invalidated = inc.invalidated;
-    row.inc_rematch_rounds = inc.rematch.rounds;
-    row.inc_profit_bits = profit_bits(s2, inc.allocation);
   }
 
   {
@@ -167,7 +146,7 @@ GoldenRow run_probes(std::uint64_t seed) {
 void print_row(const GoldenRow& r) {
   std::printf(
       "    {%lluull, %lluull, %lluull, %lluull, 0x%llxull, 0x%llxull, "
-      "0x%llxull,\n     %lluull, %lluull, %lluull, %lluull, 0x%llxull,\n"
+      "0x%llxull,\n"
       "     %lluull, %lluull, %lluull, %lluull, %lluull, %lluull, %lluull, "
       "0x%llxull},\n",
       static_cast<unsigned long long>(r.seed),
@@ -177,11 +156,6 @@ void print_row(const GoldenRow& r) {
       static_cast<unsigned long long>(r.dec_profit_bits),
       static_cast<unsigned long long>(r.dec_trace_hash),
       static_cast<unsigned long long>(r.dec_csv_hash),
-      static_cast<unsigned long long>(r.inc_kept),
-      static_cast<unsigned long long>(r.inc_released),
-      static_cast<unsigned long long>(r.inc_invalidated),
-      static_cast<unsigned long long>(r.inc_rematch_rounds),
-      static_cast<unsigned long long>(r.inc_profit_bits),
       static_cast<unsigned long long>(r.flt_bus_rounds),
       static_cast<unsigned long long>(r.flt_messages_sent),
       static_cast<unsigned long long>(r.flt_dropped),
@@ -195,42 +169,29 @@ void print_row(const GoldenRow& r) {
 // Fingerprints generated from the pre-pooling runtime (see header).
 constexpr GoldenRow kGolden[kSeeds] = {
     {1ull, 26ull, 13527ull, 6ull, 0x40abb753a2515433ull, 0xa564576655d728daull, 0x62d2eee12d4d5d6full,
-     19ull, 93ull, 188ull, 7ull, 0x40aca1f590f2477dull,
      78ull, 46705ull, 3757ull, 0ull, 0ull, 15ull, 0ull, 0x40ab7bb005f8b2baull},
     {2ull, 26ull, 13328ull, 6ull, 0x40ac49fe580e3a9cull, 0x1195ac9cdd9ac3a7ull, 0xc1b32336d4d4adcaull,
-     26ull, 90ull, 184ull, 7ull, 0x40ac2b4596fd3a16ull,
      86ull, 50066ull, 3989ull, 0ull, 0ull, 29ull, 0ull, 0x40ac1f7003f58fc8ull},
     {3ull, 26ull, 13879ull, 6ull, 0x40abe812b0115557ull, 0xb1eb888c0ff2314ull, 0x228a1cdad681b2cfull,
-     19ull, 91ull, 190ull, 9ull, 0x40ac47b6220141c6ull,
      86ull, 51581ull, 4207ull, 0ull, 0ull, 19ull, 0ull, 0x40abbef655eab737ull},
     {4ull, 30ull, 14281ull, 7ull, 0x40ac5d895fe42c9aull, 0xa512b4b3f2ba78dfull, 0x5c2e1a8a1146c5cdull,
-     16ull, 92ull, 192ull, 8ull, 0x40ac8d4c35457c34ull,
      86ull, 51178ull, 4087ull, 0ull, 0ull, 29ull, 0ull, 0x40abeef46d8b96b0ull},
     {5ull, 30ull, 14380ull, 7ull, 0x40acc0d13b25345aull, 0x9f10a9af23d9587dull, 0x36cd5367e9b516bcull,
-     14ull, 94ull, 192ull, 7ull, 0x40ac82f0f2e35b8cull,
      78ull, 47275ull, 3803ull, 0ull, 0ull, 21ull, 0ull, 0x40ac78111cd65488ull},
     {6ull, 34ull, 14440ull, 8ull, 0x40acb00b910906d7ull, 0x9334a9f93c6154e6ull, 0xc351b03741449b65ull,
-     6ull, 90ull, 204ull, 7ull, 0x40ac3ddb3af8ffc1ull,
      74ull, 44651ull, 3499ull, 0ull, 0ull, 19ull, 0ull, 0x40ac709e3c298f33ull},
     {7ull, 30ull, 14724ull, 7ull, 0x40ac750fb384d2b8ull, 0x5d3ea6b79d8e6e33ull, 0x672751acd7202dfcull,
-     10ull, 101ull, 189ull, 7ull, 0x40abdee4d27ceed6ull,
      78ull, 46494ull, 3828ull, 0ull, 0ull, 16ull, 0ull, 0x40ac4c2034b707faull},
     {8ull, 22ull, 13471ull, 5ull, 0x40ac04c4f46a04abull, 0x8319a8f099da4c88ull, 0x7d5d70cb300615d2ull,
-     11ull, 75ull, 214ull, 7ull, 0x40ac1d17ed504f62ull,
      86ull, 51241ull, 4111ull, 0ull, 0ull, 17ull, 0ull, 0x40abb2c314cd5020ull},
     {9ull, 38ull, 14050ull, 9ull, 0x40ac3710295753fcull, 0x2261cb64b42a48c1ull, 0x412533899b0b74e3ull,
-     7ull, 87ull, 206ull, 8ull, 0x40abc1b1fa94571cull,
      70ull, 41122ull, 3258ull, 0ull, 0ull, 25ull, 0ull, 0x40abfe3c57d5e0a1ull},
     {10ull, 34ull, 15092ull, 8ull, 0x40ac02b7df96341eull, 0x199ed149873cc04bull, 0xd480c6a9dc6c6c29ull,
-     8ull, 98ull, 194ull, 6ull, 0x40abe3fb9c6dbaf6ull,
      82ull, 50202ull, 3903ull, 0ull, 0ull, 19ull, 0ull, 0x40abd00def528e65ull},
 };
 
-// Serving probe: run_churn on a 10-BS deployment holding about 1.6x the
-// UEs it can serve (a third of the actives wait at the cloud), so the
-// readmit sweep has dwellers to place, with one BS crash that orphans
-// served UEs mid-stream. Kept small: the sanitizer CI job runs it with
-// DMRA_AUDIT=1, which audits the whole ledger after every event.
+// Serving probe: test::serving_probe_config (tests/test_util.hpp), a
+// run_churn replay with readmit sweeps and one BS crash.
 struct GoldenServingRow {
   std::uint64_t seed;
   std::uint64_t log_hash;  ///< FNV-1a of ChurnResult::event_log
@@ -241,23 +202,7 @@ struct GoldenServingRow {
 };
 
 ChurnResult run_serving_probe(std::uint64_t seed) {
-  ChurnConfig cfg;
-  cfg.deployment.bss_per_sp = 2;
-  cfg.arrival_rate_hz = 6.0;
-  cfg.mean_dwell_s = 100.0;
-  cfg.prefill = cfg.steady_state_target();  // counts toward the horizon
-  cfg.mean_move_interval_s = 30.0;
-  cfg.horizon_events = cfg.prefill + 900;
-  cfg.readmit_every = 16;
-  cfg.resolve_every = 300;
-  cfg.seed = seed;
-  FaultSpec faults;
-  faults.crashes = 1;
-  faults.crash_round = cfg.prefill + 300;  // event index on the serving timeline
-  faults.down_rounds = 200;
-  faults.seed = seed;
-  cfg.faults = faults;
-  return run_churn(cfg);
+  return run_churn(test::serving_probe_config(seed));
 }
 
 // Generated from the serving loop whose readmit sweep scanned every slot
@@ -498,11 +443,6 @@ TEST(GoldenRuntime, ByteIdenticalAcrossSeeds) {
     EXPECT_EQ(got.dec_profit_bits, want.dec_profit_bits);
     EXPECT_EQ(got.dec_trace_hash, want.dec_trace_hash);
     EXPECT_EQ(got.dec_csv_hash, want.dec_csv_hash);
-    EXPECT_EQ(got.inc_kept, want.inc_kept);
-    EXPECT_EQ(got.inc_released, want.inc_released);
-    EXPECT_EQ(got.inc_invalidated, want.inc_invalidated);
-    EXPECT_EQ(got.inc_rematch_rounds, want.inc_rematch_rounds);
-    EXPECT_EQ(got.inc_profit_bits, want.inc_profit_bits);
     EXPECT_EQ(got.flt_bus_rounds, want.flt_bus_rounds);
     EXPECT_EQ(got.flt_messages_sent, want.flt_messages_sent);
     EXPECT_EQ(got.flt_dropped, want.flt_dropped);

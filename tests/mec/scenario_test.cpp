@@ -141,8 +141,8 @@ TEST(ScenarioValidation, RejectsZeroCruDemand) {
 }
 
 TEST(Scenario, ZeroRrbBsIsInertNotInvalid) {
-  // Radio-exhausted BSs occur in residual scenarios of online runs; they
-  // must validate but can never be candidates.
+  // Radio-exhausted BSs occur in the residual scenarios a serving
+  // admission rule sees; they must validate but can never be candidates.
   MiniScenario ms;
   const SpId sp = ms.add_sp();
   ms.add_bs(sp, {0, 0}, 100, /*rrbs=*/0);

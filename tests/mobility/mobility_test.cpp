@@ -1,11 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "core/dmra_allocator.hpp"
-#include "mobility/handover.hpp"
 #include "mobility/models.hpp"
-#include "sim/feasibility.hpp"
 #include "util/require.hpp"
 
 namespace dmra {
@@ -19,13 +14,6 @@ std::vector<Point> grid_population(std::size_t n) {
     pts.push_back({100.0 + 10.0 * static_cast<double>(i % 30),
                    100.0 + 10.0 * static_cast<double>(i / 30)});
   return pts;
-}
-
-TEST(StaticModel, NeverMoves) {
-  auto model = make_static(grid_population(10));
-  const std::vector<Point> before = model->positions();
-  model->advance(100.0);
-  EXPECT_EQ(model->positions(), before);
 }
 
 TEST(RandomWaypoint, MovesEveryoneWithinBounds) {
@@ -81,133 +69,13 @@ TEST(RandomWaypoint, DeterministicPerSeed) {
   EXPECT_EQ(a->positions(), b->positions());
 }
 
-TEST(GaussMarkov, StaysInBoundsUnderLongRuns) {
-  GaussMarkovConfig cfg;
-  cfg.area = kArea;
-  cfg.mean_speed_mps = 20.0;
-  auto model = make_gauss_markov(grid_population(30), cfg, Rng("gm", 1));
-  for (int step = 0; step < 200; ++step) {
-    model->advance(1.0);
-    for (const Point& p : model->positions()) EXPECT_TRUE(kArea.contains(p));
-  }
-}
-
-TEST(GaussMarkov, HighAlphaMeansSmootherPaths) {
-  // With α → 1 consecutive displacement vectors stay correlated; with
-  // α = 0 they are fresh draws. Compare mean turn angle proxies.
-  auto turn_proxy = [](double alpha) {
-    GaussMarkovConfig cfg;
-    cfg.area = Rect{0, 0, 100000, 100000};  // avoid reflections
-    cfg.alpha = alpha;
-    std::vector<Point> start(40, Point{50000, 50000});
-    auto model = make_gauss_markov(start, cfg, Rng("gm", 5));
-    std::vector<Point> prev = model->positions();
-    model->advance(1.0);
-    std::vector<Point> mid = model->positions();
-    model->advance(1.0);
-    std::vector<Point> end = model->positions();
-    double dot_sum = 0.0;
-    for (std::size_t i = 0; i < prev.size(); ++i) {
-      const Point v1{mid[i].x - prev[i].x, mid[i].y - prev[i].y};
-      const Point v2{end[i].x - mid[i].x, end[i].y - mid[i].y};
-      const double n1 = std::hypot(v1.x, v1.y);
-      const double n2 = std::hypot(v2.x, v2.y);
-      if (n1 > 0 && n2 > 0) dot_sum += (v1.x * v2.x + v1.y * v2.y) / (n1 * n2);
-    }
-    return dot_sum / static_cast<double>(prev.size());
-  };
-  EXPECT_GT(turn_proxy(0.95), turn_proxy(0.0));
-}
-
 TEST(Models, Contracts) {
   RandomWaypointConfig bad;
   bad.speed_min_mps = 0.0;
   EXPECT_THROW(make_random_waypoint(grid_population(1), bad, Rng("x", 1)),
                ContractViolation);
-  GaussMarkovConfig gm;
-  gm.alpha = 1.0;
-  EXPECT_THROW(make_gauss_markov(grid_population(1), gm, Rng("x", 1)), ContractViolation);
-  auto model = make_static(grid_population(1));
+  auto model = make_random_waypoint(grid_population(1), {}, Rng("x", 1));
   EXPECT_THROW(model->advance(-1.0), ContractViolation);
-}
-
-// ---- handover study -----------------------------------------------------------
-
-HandoverConfig study_config(MobilityKind kind, std::size_t ues = 250) {
-  HandoverConfig cfg;
-  cfg.scenario.num_ues = ues;
-  cfg.mobility = kind;
-  cfg.steps = 6;
-  cfg.step_duration_s = 2.0;
-  cfg.seed = 3;
-  return cfg;
-}
-
-TEST(Handover, StaticPopulationNeverHandsOver) {
-  const DmraAllocator algo;
-  const HandoverResult r = run_handover_study(study_config(MobilityKind::kStatic), algo);
-  for (const HandoverStepStats& s : r.steps) {
-    EXPECT_EQ(s.handovers, 0u);
-    EXPECT_EQ(s.edge_to_cloud, 0u);
-    EXPECT_EQ(s.cloud_to_edge, 0u);
-    EXPECT_DOUBLE_EQ(s.mean_displacement_m, 0.0);
-  }
-  EXPECT_DOUBLE_EQ(r.handover_rate, 0.0);
-}
-
-TEST(Handover, MovingPopulationChurns) {
-  const DmraAllocator algo;
-  HandoverConfig cfg = study_config(MobilityKind::kRandomWaypoint);
-  cfg.waypoint.speed_min_mps = 10.0;
-  cfg.waypoint.speed_max_mps = 20.0;
-  const HandoverResult r = run_handover_study(cfg, algo);
-  std::uint64_t handovers = 0;
-  for (const HandoverStepStats& s : r.steps) {
-    handovers += s.handovers;
-    EXPECT_GT(s.mean_displacement_m, 0.0);
-  }
-  EXPECT_GT(handovers, 0u);
-  EXPECT_GT(r.handover_rate, 0.0);
-}
-
-TEST(Handover, FasterMovementMeansMoreChurn) {
-  const DmraAllocator algo;
-  auto rate_at = [&](double vmin, double vmax) {
-    HandoverConfig cfg = study_config(MobilityKind::kRandomWaypoint);
-    cfg.steps = 8;
-    cfg.waypoint.speed_min_mps = vmin;
-    cfg.waypoint.speed_max_mps = vmax;
-    return run_handover_study(cfg, algo).handover_rate;
-  };
-  EXPECT_LT(rate_at(0.5, 1.0), rate_at(20.0, 30.0));
-}
-
-TEST(Handover, EveryStepAllocationIsFeasible) {
-  // The study rebuilds scenarios internally; spot-check by reproducing
-  // one step's scenario and allocation.
-  const DmraAllocator algo;
-  const HandoverConfig cfg = study_config(MobilityKind::kGaussMarkov, 150);
-  const HandoverResult r = run_handover_study(cfg, algo);
-  ASSERT_EQ(r.steps.size(), cfg.steps);
-  for (const HandoverStepStats& s : r.steps) EXPECT_GT(s.profit, 0.0);
-}
-
-TEST(Handover, Deterministic) {
-  const DmraAllocator algo;
-  const HandoverConfig cfg = study_config(MobilityKind::kGaussMarkov, 120);
-  const HandoverResult a = run_handover_study(cfg, algo);
-  const HandoverResult b = run_handover_study(cfg, algo);
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (std::size_t i = 0; i < a.steps.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.steps[i].profit, b.steps[i].profit);
-    EXPECT_EQ(a.steps[i].handovers, b.steps[i].handovers);
-  }
-}
-
-TEST(Handover, KindNames) {
-  EXPECT_STREQ(mobility_kind_name(MobilityKind::kStatic), "static");
-  EXPECT_STREQ(mobility_kind_name(MobilityKind::kRandomWaypoint), "random-waypoint");
-  EXPECT_STREQ(mobility_kind_name(MobilityKind::kGaussMarkov), "gauss-markov");
 }
 
 }  // namespace

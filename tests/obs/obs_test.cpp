@@ -9,15 +9,14 @@
 
 #include "core/decentralized.hpp"
 #include "core/dmra_allocator.hpp"
-#include "core/incremental.hpp"
 #include "core/solver.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/round_csv.hpp"
+#include "sim/churn.hpp"
 #include "sim/experiment.hpp"
-#include "sim/online.hpp"
 #include "../test_util.hpp"
 #include "util/json.hpp"
 #include "workload/generator.hpp"
@@ -311,51 +310,39 @@ TEST(DecentralizedTracing, MatchesSolverDecisionCounts) {
   EXPECT_EQ(totals(direct), totals(protocol));
 }
 
-// ---- Instrumentation: incremental, online, experiment ----------------------
+// ---- Instrumentation: online serving ------------------------------------------
 
-TEST(IncrementalTracing, ReportsCarryOverCounters) {
-  const Scenario scenario = test::two_bs_scenario(6);
-  const Allocation previous = solve_dmra(scenario, {}).allocation;
-  obs::TraceRecorder rec;
-  IncrementalResult result;
-  {
-    obs::ScopedTraceRecorder install(&rec);
-    result = solve_incremental_dmra(scenario, previous, {});
-  }
-  EXPECT_EQ(rec.metrics().counter("incremental.kept"), result.kept);
-  EXPECT_EQ(rec.metrics().counter("incremental.released"), result.released);
-  EXPECT_EQ(rec.metrics().counter("incremental.invalidated"), result.invalidated);
-  bool saw_phase = false;
-  for (const obs::TraceEvent& e : rec.events())
-    if (e.kind == obs::EventKind::kPhase && e.label == "core/incremental:carry-over")
-      saw_phase = true;
-  EXPECT_TRUE(saw_phase);
-}
-
+// Serving with a one-shot allocator as the admission rule narrates one
+// sim/churn row per event: rounds in order, every proposal decided, each
+// BS placement one accept, and the last row carrying the final profit.
 TEST(OnlineTracing, EmitsOneRowPerEpoch) {
-  OnlineConfig config;
-  config.scenario.num_ues = 40;
-  config.epochs = 3;
+  ChurnConfig config = test::serving_probe_config(2);  // overloaded: sweeps place
+  config.horizon_events = config.prefill + 200;
+  config.faults.reset();
   const DmraAllocator allocator;
+  config.incremental.rule = &allocator;
   obs::TraceRecorder rec;
-  OnlineResult result;
+  ChurnResult result;
   {
     obs::ScopedTraceRecorder install(&rec);
-    OnlineSimulator sim(config, allocator);
-    result = sim.run();
+    result = run_churn(config);
   }
-  std::vector<const obs::RoundRow*> online_rows;
-  for (const obs::RoundRow& row : rec.rows())
-    if (row.source == "sim/online") online_rows.push_back(&row);
-  ASSERT_EQ(online_rows.size(), config.epochs);
-  for (std::size_t e = 0; e < online_rows.size(); ++e) {
-    EXPECT_EQ(online_rows[e]->round, e);
-    EXPECT_EQ(online_rows[e]->proposals,
-              online_rows[e]->accepts + online_rows[e]->rejects);
+  ASSERT_EQ(rec.rows().size(), result.stats.events);
+  std::uint64_t accepts = 0;
+  for (std::size_t e = 0; e < rec.rows().size(); ++e) {
+    const obs::RoundRow& row = rec.rows()[e];
+    EXPECT_EQ(row.source, "sim/churn");
+    EXPECT_EQ(row.round, e);
+    EXPECT_EQ(row.proposals, row.accepts + row.rejects);
+    accepts += row.accepts;
   }
-  EXPECT_NEAR(online_rows.back()->cumulative_profit, result.cumulative_profit, 1e-9);
-  EXPECT_EQ(rec.metrics().counter("online.epochs"), config.epochs);
+  EXPECT_GT(result.stats.readmitted, 0u);
+  EXPECT_EQ(accepts, result.stats.admitted_to_bs + result.stats.readmitted);
+  EXPECT_NEAR(rec.rows().back().cumulative_profit, result.stats.final_profit, 1e-9);
+  EXPECT_EQ(rec.metrics().counter("churn.arrivals"), result.stats.arrivals);
 }
+
+// ---- Instrumentation: experiment ---------------------------------------------
 
 TEST(ExperimentTracing, CountsSweepPointsAndReplications) {
   ExperimentSpec spec;

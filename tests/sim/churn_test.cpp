@@ -1,13 +1,20 @@
 // Serving-driver contracts (docs/SERVING.md): deterministic timelines and
-// event logs, auditor-clean replay (including departures and faults), and
-// the degenerate 0-arrival / 0-dwell cases next to sim/degenerate_test.
+// event logs, auditor-clean replay (including departures and faults),
+// handovers of a moving population, and the degenerate 0-arrival / 0-dwell
+// cases next to sim/degenerate_test.
 #include "sim/churn.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "../test_util.hpp"
 #include "check/invariant_auditor.hpp"
+#include "geometry/geometry.hpp"
 #include "mec/allocation.hpp"
 #include "mec/audit.hpp"
 #include "obs/recorder.hpp"
@@ -156,6 +163,152 @@ TEST(Churn, FaultSameSeedIsByteIdentical) {
   EXPECT_EQ(a.final_allocation, b.final_allocation);
   EXPECT_EQ(a.stats.readmitted, b.stats.readmitted);
   EXPECT_EQ(a.stats.recovery_events_max, b.stats.recovery_events_max);
+}
+
+// A degradation scales only *remaining* capacity, so factor 1.0 is a
+// no-op: UEs leaving the "degraded" BS must still return what they held,
+// and every decision must match the fault-free run.
+TEST(Churn, UnitDegradationChangesNoDecision) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ChurnConfig cfg = test::serving_probe_config(seed);
+    cfg.horizon_events = cfg.prefill + 1500;
+    cfg.faults.reset();
+    const ChurnResult clean = run_churn(cfg);
+    FaultSpec unit;
+    unit.degradations = 1;
+    unit.degrade_factor = 1.0;
+    unit.degrade_round = cfg.prefill + 100;
+    unit.seed = seed;
+    cfg.faults = unit;
+    const ChurnResult degraded = run_churn(cfg);
+    EXPECT_EQ(degraded.stats.degradations, 1u);
+    EXPECT_EQ(degraded.final_allocation, clean.final_allocation);
+    EXPECT_EQ(degraded.stats.final_profit, clean.stats.final_profit);
+  }
+}
+
+// Moves off is the static mobility model: the timeline never moves a UE,
+// so each one departs from the slot it arrived on.
+TEST(StaticModel, NeverMoves) {
+  ChurnConfig cfg = small_config();
+  cfg.mean_move_interval_s = 0.0;
+  const ChurnTimeline timeline = build_churn_timeline(cfg);
+  std::vector<std::uint32_t> slot_of(timeline.num_logical_ues, kNoChurnSlot);
+  std::size_t arrivals = 0, departures = 0;
+  for (const ChurnEvent& e : timeline.events) {
+    EXPECT_NE(e.kind, ChurnEventKind::kMove);
+    if (e.kind == ChurnEventKind::kArrival) {
+      slot_of[e.ue] = e.slot;
+      ++arrivals;
+    }
+    if (e.kind == ChurnEventKind::kDeparture) {
+      EXPECT_EQ(e.slot, slot_of[e.ue]);
+      ++departures;
+    }
+  }
+  EXPECT_GT(departures, 0u);
+  EXPECT_EQ(timeline.universe.num_ues(), arrivals);  // one slot per UE
+}
+
+// ---- handover: waypoint moves served live -----------------------------------
+
+/// A static population (no arrivals or departures) of 300 UEs, each taking
+/// a waypoint move every 2 s on average: six moves per UE.
+ChurnConfig moving_population(double speed_min, double speed_max) {
+  ChurnConfig cfg;
+  cfg.arrival_rate_hz = 0.0;
+  cfg.mean_dwell_s = 1e9;  // nobody departs within the run
+  cfg.prefill = 300;
+  cfg.mean_move_interval_s = 2.0;
+  cfg.waypoint.speed_min_mps = speed_min;
+  cfg.waypoint.speed_max_mps = speed_max;
+  cfg.horizon_events = cfg.prefill * 7;
+  cfg.seed = 4;
+  return cfg;
+}
+
+// Without moves or crashes no settled UE changes BS: departures free
+// capacity, and the readmit sweeps and re-solves that follow place only
+// cloud dwellers.
+TEST(Handover, StaticPopulationNeverHandsOver) {
+  ChurnConfig cfg = moving_population(0.5, 1.0);
+  cfg.mean_move_interval_s = 0.0;
+  cfg.horizon_events = cfg.prefill;
+  ChurnStats s = run_churn(cfg).stats;
+  EXPECT_EQ(s.moves, 0u);
+  EXPECT_EQ(s.reassociations, 0u);
+
+  cfg = test::serving_probe_config(5);  // overloaded: cloud dwellers wait
+  cfg.mean_move_interval_s = 0.0;
+  cfg.faults.reset();
+  s = run_churn(cfg).stats;
+  EXPECT_EQ(s.moves, 0u);
+  EXPECT_GT(s.departures, 0u);
+  EXPECT_GT(s.readmitted, 0u);
+  EXPECT_GT(s.resolves, 0u);
+  EXPECT_EQ(s.reassociations, 0u);
+}
+
+TEST(Handover, MovingPopulationChurns) {
+  const ChurnConfig cfg = moving_population(10.0, 20.0);
+  const ChurnTimeline timeline = build_churn_timeline(cfg);
+  // Every move takes the UE somewhere else.
+  for (const ChurnEvent& e : timeline.events) {
+    if (e.kind != ChurnEventKind::kMove) continue;
+    EXPECT_GT(distance_m(timeline.universe.ue(UeId{e.prev_slot}).position,
+                         timeline.universe.ue(UeId{e.slot}).position),
+              0.0);
+  }
+  const ChurnStats s = run_churn(timeline, cfg).stats;
+  EXPECT_EQ(s.moves, cfg.prefill * 6);
+  EXPECT_GT(s.reassociations, 0u);
+  EXPECT_GT(s.churn_rate(), 0.0);
+}
+
+// A faster walk carries a UE further from the BS it was admitted to, so
+// more of its moves land on another BS.
+TEST(Handover, FasterMovementMeansMoreChurn) {
+  const auto reassociations_per_move = [](double speed_min, double speed_max) {
+    const ChurnConfig cfg = moving_population(speed_min, speed_max);
+    const ChurnStats s = run_churn(cfg).stats;
+    EXPECT_EQ(s.departures, 0u);
+    EXPECT_EQ(s.moves, cfg.prefill * 6);
+    return static_cast<double>(s.reassociations) / static_cast<double>(s.moves);
+  };
+  EXPECT_GT(reassociations_per_move(20.0, 30.0), reassociations_per_move(0.5, 1.0));
+}
+
+// The live allocation after each round of moves (one per UE on average)
+// is feasible and carries the profit the run reports.
+TEST(Handover, EveryStepAllocationIsFeasible) {
+  ChurnConfig cfg = moving_population(5.0, 15.0);
+  cfg.prefill = 150;
+  for (std::size_t step = 1; step <= 6; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    cfg.horizon_events = cfg.prefill * (step + 1);
+    const ChurnTimeline timeline = build_churn_timeline(cfg);
+    const ChurnResult r = run_churn(timeline, cfg);
+    EXPECT_EQ(r.stats.moves, cfg.prefill * step);
+    const FeasibilityReport report = check_feasibility(timeline.universe, r.final_allocation);
+    EXPECT_TRUE(report.ok) << (report.violations.empty() ? "" : report.violations[0]);
+    EXPECT_GT(r.stats.final_profit, 0.0);
+    const double recomputed = total_profit(timeline.universe, r.final_allocation);
+    EXPECT_NEAR(r.stats.final_profit, recomputed, 1e-9 * std::max(1.0, std::abs(recomputed)));
+  }
+}
+
+TEST(Handover, Deterministic) {
+  const ChurnConfig cfg = moving_population(5.0, 15.0);
+  const ChurnResult a = run_churn(cfg);
+  const ChurnResult b = run_churn(cfg);
+  EXPECT_EQ(a.event_log, b.event_log);
+  EXPECT_EQ(a.final_allocation, b.final_allocation);
+  EXPECT_EQ(a.stats.reassociations, b.stats.reassociations);
+  // The seed drives the walks: another seed takes other paths.
+  ChurnConfig other = cfg;
+  other.seed = cfg.seed + 1;
+  EXPECT_NE(run_churn(other).event_log, a.event_log);
 }
 
 TEST(Churn, ZeroArrivalDegenerate) {

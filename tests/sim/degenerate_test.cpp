@@ -1,5 +1,5 @@
 // Degenerate-scenario coverage: zero BSs and zero UEs are legal instances
-// (e.g. the residual scenario of a drained online run). Every allocator
+// (e.g. a churn timeline with no arrivals). Every allocator
 // and the metrics pipeline must handle them without NaNs, crashes, or
 // auditor complaints.
 #include <gtest/gtest.h>

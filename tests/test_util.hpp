@@ -1,11 +1,13 @@
 // Shared helpers for the test suite: hand-built miniature scenarios with
-// fully-known geometry so expected values can be computed by hand.
+// fully-known geometry so expected values can be computed by hand, and
+// the serving probe several suites replay.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "mec/scenario.hpp"
+#include "sim/churn.hpp"
 
 namespace dmra::test {
 
@@ -95,6 +97,33 @@ inline Scenario two_bs_scenario(std::size_t n_ues = 4) {
     ms.add_ue(sp, {50.0 + 25.0 * static_cast<double>(i), 0.0}, svc);
   }
   return ms.build();
+}
+
+/// The serving probe GoldenRuntime.ServingByteIdenticalAcrossSeeds pins
+/// (seeds 1-10): run_churn on a 10-BS deployment holding about 1.6x the
+/// UEs it can serve (a third of the actives wait at the cloud), so the
+/// readmit sweep has dwellers to place, with waypoint moves, periodic
+/// re-solves and one BS crash that orphans served UEs mid-stream. Kept
+/// small: the sanitizer CI job runs it with DMRA_AUDIT=1, which audits
+/// the whole ledger after every event.
+inline ChurnConfig serving_probe_config(std::uint64_t seed) {
+  ChurnConfig cfg;
+  cfg.deployment.bss_per_sp = 2;
+  cfg.arrival_rate_hz = 6.0;
+  cfg.mean_dwell_s = 100.0;
+  cfg.prefill = cfg.steady_state_target();  // counts toward the horizon
+  cfg.mean_move_interval_s = 30.0;
+  cfg.horizon_events = cfg.prefill + 900;
+  cfg.readmit_every = 16;
+  cfg.resolve_every = 300;
+  cfg.seed = seed;
+  FaultSpec faults;
+  faults.crashes = 1;
+  faults.crash_round = cfg.prefill + 300;  // event index on the serving timeline
+  faults.down_rounds = 200;
+  faults.seed = seed;
+  cfg.faults = faults;
+  return cfg;
 }
 
 }  // namespace dmra::test

@@ -30,24 +30,39 @@ void BM_SinrAndRrbs(benchmark::State& state) {
 }
 BENCHMARK(BM_SinrAndRrbs);
 
+// The UE step of Alg. 1 as the solver runs it: propose_soa over one UE's
+// candidate row against a ResourceState, on a half-depleted ledger (every
+// odd BS exhausted), so rows mix serviceable BSs with ones that stay in
+// B_u because they sort after the choice.
 void BM_PreferenceEval(benchmark::State& state) {
   dmra::ScenarioConfig cfg;
   cfg.num_ues = 500;
   const dmra::Scenario scenario = dmra::generate_scenario(cfg, 3);
-  const dmra::ResourceState rs(scenario);
+  dmra::ResourceState rs(scenario);
+  const std::vector<std::uint32_t> none(scenario.num_services(), 0);
+  for (const dmra::BaseStation& b : scenario.bss())
+    if (b.id.value % 2 == 1) rs.clamp_remaining(b.id, none, 0);
+  std::vector<dmra::UeId> everyone(scenario.num_ues());
+  for (std::size_t ui = 0; ui < everyone.size(); ++ui)
+    everyone[ui] = dmra::UeId{static_cast<std::uint32_t>(ui)};
+  dmra::LiveCandidates b_u;
+  b_u.build(scenario, everyone);
   std::size_t ui = 0;
+  std::size_t slots = 0;
   for (auto _ : state) {
-    const dmra::UeId u{static_cast<std::uint32_t>(ui % scenario.num_ues())};
+    const dmra::UeId u = everyone[ui % everyone.size()];
     const dmra::ServiceId j = scenario.ue(u).service;
-    const auto cands = scenario.candidates(u);
-    const auto prices = scenario.candidate_prices(u);
-    double acc = 0.0;
-    for (std::size_t k = 0; k < cands.size(); ++k)
-      acc += dmra::ue_preference_value(prices[k], 100.0, rs.remaining_crus(cands[k], j),
-                                       rs.remaining_rrbs(cands[k]));
-    benchmark::DoNotOptimize(acc);
+    const dmra::Proposal p = dmra::propose_soa(
+        scenario, b_u, u, 100.0, [&rs, j](std::size_t, dmra::BsId i) {
+          return std::pair<std::uint32_t, std::uint32_t>{rs.remaining_crus(i, j),
+                                                         rs.remaining_rrbs(i)};
+        });
+    benchmark::DoNotOptimize(p);
+    slots += scenario.candidates(u).size();
     ++ui;
   }
+  state.counters["slots_per_call"] =
+      benchmark::Counter(static_cast<double>(slots) / static_cast<double>(ui));
 }
 BENCHMARK(BM_PreferenceEval);
 

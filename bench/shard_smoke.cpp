@@ -8,11 +8,15 @@
 // Prints a one-line verdict with both profits, the relative gap, and
 // the shard/boundary accounting; exits 1 when the gap exceeds
 // --max-gap (a fraction: 0.05 = sharding may cost at most 5% of the
-// oracle's profit), or when the sharded allocation is infeasible.
-// CI runs this at 2 and 4 shards (see .github/workflows/ci.yml), and
-// once more traced at --jobs=1 and --jobs=4 to prove the exports are
-// byte-identical; the quality contract it enforces is documented in
-// docs/PERFORMANCE.md and pinned at finer grain by
+// oracle's profit), or when the sharded allocation is infeasible, and
+// with an error naming the flag when a number is malformed (--ues and
+// --shards take whole numbers >= 1, --seed a whole number >= 0, --max-gap
+// a finite number >= 0). CI runs this at 2 and 4 shards (see
+// .github/workflows/ci.yml); at 8 shards on 3000 UEs, where every UE is a
+// boundary UE and the reconcile pass alone must reach the oracle's
+// profit; and once more traced at --jobs=1 and --jobs=4 to prove the
+// exports are byte-identical. The quality contract it enforces is
+// documented in docs/PERFORMANCE.md and pinned at finer grain by
 // tests/core/sharded_test.cpp.
 
 // Same PR105593-family false positive documented in mec/scenario_io.cpp:
@@ -44,10 +48,13 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text(argv[0]);
     return 0;
   }
-  const std::size_t ues = static_cast<std::size_t>(cli.get_int("ues"));
-  const std::size_t shards = static_cast<std::size_t>(cli.get_int("shards"));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const double max_gap = cli.get_double("max-gap");
+  // A malformed number exits 1 naming the flag, before any work: a NaN
+  // bound would pass every gap, and a negative count would wrap.
+  const auto ues = static_cast<std::size_t>(dmra_bench::checked_flag(cli, "ues", 1.0, true));
+  const auto shards =
+      static_cast<std::size_t>(dmra_bench::checked_flag(cli, "shards", 1.0, true));
+  const auto seed = static_cast<std::uint64_t>(dmra_bench::checked_flag(cli, "seed", 0.0, true));
+  const double max_gap = dmra_bench::checked_flag(cli, "max-gap", 0.0);
   dmra_bench::ObsSession obs_session(cli, argv[0]);
   const std::size_t jobs = dmra_bench::jobs_from(cli);
 

@@ -140,7 +140,7 @@ void stable_sort_by_ue(std::vector<ProposalInfo>& v, std::vector<ProposalInfo>& 
 // the BSs' static capacities — the optimistic prior a UE is allowed to
 // hold for a candidate it has not heard from (possible only on a lossy
 // network; the reliable bootstrap covers everyone), and the safe one: a
-// pessimistic prior would make choose_proposal_soa erase a live candidate
+// pessimistic prior would make propose_soa erase a live candidate
 // permanently. Broadcast ingest overwrites the slot with the ring values
 // in arrival order, which is exactly the last-write-wins the old
 // lazily-dereferenced per-UE snapshot view computed.
@@ -554,26 +554,25 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
       const auto view = [&view_crus, &view_rrbs](std::size_t slot, BsId) {
         return std::pair<std::uint32_t, std::uint32_t>{view_crus[slot], view_rrbs[slot]};
       };
-      const auto choice = choose_proposal_soa(scenario, b_u, a.ue, config.rho, view);
-      if (!choice) {
+      const Proposal p = propose_soa(scenario, b_u, a.ue, config.rho, view);
+      if (!p.bs) {
         a.at_cloud = true;
         continue;
       }
-      const auto f_u = live_coverage_count_soa(scenario, a.ue, view);
-      bus.send(a.address, a.sp_address, MsgOffloadRequest{a.ue, *choice, f_u});
+      bus.send(a.address, a.sp_address, MsgOffloadRequest{a.ue, *p.bs, p.f_u});
       ++sent_this_round;
       if (crashes) {
-        if (a.last_target != *choice) a.unanswered = 0;
-        a.last_target = *choice;
+        if (a.last_target != *p.bs) a.unanswered = 0;
+        a.last_target = *p.bs;
         a.awaiting = true;
       }
       if (rec != nullptr) {
         obs::TraceEvent e;
         e.kind = obs::EventKind::kProposal;
         e.ue = a.ue.value;
-        e.bs = choice->value;
+        e.bs = p.bs->value;
         e.service = scenario.ue(a.ue).service.value;
-        e.value = f_u;
+        e.value = p.f_u;
         rec->record(e);
       }
     }
@@ -805,15 +804,10 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
   // stays at the cloud — that is the graceful-degradation floor, never a
   // crash or an infeasible allocation.
   if (crashes) {
-    std::vector<bool> matched(scenario.num_ues(), true);
-    std::size_t orphan_count = 0;
-    for (const UeAgent& a : ue_agents) {
-      if (a.needs_repair && result.dmra.allocation.is_cloud(a.ue)) {
-        matched[a.ue.idx()] = false;
-        ++orphan_count;
-      }
-    }
-    if (orphan_count > 0) {
+    std::vector<UeId> orphans;  // ascending, like ue_agents
+    for (const UeAgent& a : ue_agents)
+      if (a.needs_repair && result.dmra.allocation.is_cloud(a.ue)) orphans.push_back(a.ue);
+    if (!orphans.empty()) {
       ResourceState state(scenario);
       for (const UeAgent& a : ue_agents)
         if (const auto bs = result.dmra.allocation.bs_of(a.ue)) state.commit(a.ue, *bs);
@@ -834,8 +828,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
         // the solver's own ledger reports would trip the auditor's
         // recount; the partial allocation is re-audited manually below.
         audit::ScopedAuditObserver mute(nullptr);
-        repair = solve_dmra_partial(scenario, config, state,
-                                    result.dmra.allocation, matched);
+        repair = solve_dmra_partial(scenario, config, state, result.dmra.allocation, orphans);
       }
       result.recovery.repair_rounds = repair.rounds;
       for (UeAgent& a : ue_agents) {
@@ -851,7 +844,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
         obs::TraceEvent e;
         e.kind = obs::EventKind::kPhase;
         e.label = "core/decentralized:repair";
-        e.value = orphan_count;
+        e.value = orphans.size();
         if (rec != nullptr) rec->record(e);
         if (fr != nullptr) fr->record(e);
       }
@@ -898,7 +891,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   std::vector<BsId> bss(scenario.num_bss());
   for (std::size_t i = 0; i < bss.size(); ++i) bss[i] = BsId{static_cast<std::uint32_t>(i)};
   LiveCandidates b_u;
-  b_u.build(scenario);
+  b_u.build(scenario, ues);
   std::vector<std::uint32_t> view_crus(scenario.num_candidate_slots());
   std::vector<std::uint32_t> view_rrbs(scenario.num_candidate_slots());
   runtime_detail::ProtocolRun run = runtime_detail::run_protocol(

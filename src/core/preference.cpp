@@ -8,18 +8,14 @@
 
 namespace dmra {
 
-void LiveCandidates::build(const Scenario& scenario) {
-  const std::size_t nu = scenario.num_ues();
-  const std::size_t total = scenario.num_candidate_slots();
-  offsets_.assign(nu, 0);
-  len_.assign(nu, 0);
-  slots_.assign(total, 0);
-  for (std::size_t ui = 0; ui < nu; ++ui) {
-    const UeId u{static_cast<std::uint32_t>(ui)};
+void LiveCandidates::build(const Scenario& scenario, std::span<const UeId> ues) {
+  scenario_ = &scenario;
+  len_.assign(scenario.num_ues(), 0);
+  slots_.resize(scenario.num_candidate_slots());
+  for (const UeId u : ues) {
     const std::size_t base = scenario.candidate_offset(u);
     const std::size_t row = scenario.candidates(u).size();
-    offsets_[ui] = base;
-    len_[ui] = row;
+    len_[u.idx()] = row;
     for (std::size_t k = 0; k < row; ++k)
       slots_[base + k] = static_cast<std::uint32_t>(k);
   }

@@ -70,25 +70,28 @@ inline double ue_preference_value(double price, double rho, std::uint32_t crus,
 
 /// The per-UE shrinking candidate lists (every B_u of Alg. 1) packed into
 /// one flat pool of slot indices into the scenario's CSR candidate rows.
-/// Rows never grow, so the pool is sized once by build(); erasing a BS is
-/// an order-preserving left shift inside the row. Slot indices are local
-/// to the row: scenario.candidates(u)[slot], candidate_prices(u)[slot],
-/// and candidate_rrbs(u)[slot] are one row's parallel SoA arrays.
+/// A row lives at its UE's Scenario::candidate_offset and never grows, so
+/// the pool is sized once by build(); erasing a BS is an order-preserving
+/// left shift inside the row. Slot indices are local to the row:
+/// scenario.candidates(u)[slot], candidate_prices(u)[slot], and
+/// candidate_rrbs(u)[slot] are one row's parallel SoA arrays.
 class LiveCandidates {
  public:
-  /// Size the pool to the scenario and reset every row to the full
-  /// candidate list (slots 0..row-1, ascending BsId).
-  void build(const Scenario& scenario);
+  /// Size the pool to the scenario and reset the rows of `ues` to their
+  /// full candidate lists (slots 0..row-1, ascending BsId). Every other
+  /// UE's row is empty. Keeps a pointer to `scenario`, which must outlive
+  /// every later call.
+  void build(const Scenario& scenario, std::span<const UeId> ues);
 
   std::span<const std::uint32_t> live(UeId u) const {
-    return {slots_.data() + offsets_[u.idx()], len_[u.idx()]};
+    return {slots_.data() + scenario_->candidate_offset(u), len_[u.idx()]};
   }
   bool empty(UeId u) const { return len_[u.idx()] == 0; }
 
   /// Remove the row entry at live-position `pos` (order-preserving).
   void erase_at(UeId u, std::size_t pos) {
     // dmra::hotpath begin(live-candidates)
-    const std::size_t base = offsets_[u.idx()];
+    const std::size_t base = scenario_->candidate_offset(u);
     std::size_t& len = len_[u.idx()];
     DMRA_REQUIRE(pos < len);
     for (std::size_t k = pos + 1; k < len; ++k) slots_[base + k - 1] = slots_[base + k];
@@ -109,76 +112,105 @@ class LiveCandidates {
     }
   }
 
+  /// Remove every slot of u's row for which `drop(slot)` holds, keeping
+  /// the rest in order.
+  template <typename Pred>
+  void erase_if(UeId u, Pred&& drop) {
+    // dmra::hotpath begin(live-compact)
+    std::uint32_t* const row = slots_.data() + scenario_->candidate_offset(u);
+    std::size_t& len = len_[u.idx()];
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < len; ++k)
+      if (!drop(row[k])) row[kept++] = row[k];
+    len = kept;
+    // dmra::hotpath end(live-compact)
+  }
+
  private:
-  std::vector<std::uint32_t> slots_;  ///< flat rows of local slot indices
-  std::vector<std::size_t> offsets_;  ///< per-UE row base (full row capacity)
+  const Scenario* scenario_ = nullptr;
+  std::vector<std::uint32_t> slots_;  ///< rows of local slot indices, by candidate_offset
   std::vector<std::size_t> len_;      ///< per-UE live length
 };
 
-/// UE proposal step (Alg. 1 lines 4–10): argmin v(u,i) over u's live
-/// row, erasing slots whose BS can no longer serve u. Returns the chosen
-/// BS, or nullopt once the row is exhausted (→ remote cloud). Ties in v
-/// go to the smaller BsId. `view` is any callable `(std::size_t
-/// global_slot, BsId i) -> std::pair<std::uint32_t, std::uint32_t>`
-/// returning (remaining CRUs of u's service at i, remaining RRBs at i) —
-/// the solver closes over ResourceState, the decentralized runtime over
-/// its per-slot broadcast arrays.
+/// One UE's move in the UE phase of Alg. 1: the BS it proposes to, or
+/// nullopt once B_u is exhausted (→ remote cloud), and the f_u that
+/// travels with the proposal.
+struct Proposal {
+  std::optional<BsId> bs;
+  std::uint32_t f_u = 0;
+};
+
+/// UE proposal step (Alg. 1 lines 4–10) in one pass over u's *full*
+/// candidate row, reading the view once per slot. `view` is any callable
+/// `(std::size_t global_slot, BsId i) -> std::pair<std::uint32_t,
+/// std::uint32_t>` returning (remaining CRUs of u's service at i,
+/// remaining RRBs at i) — the solver closes over ResourceState, the
+/// decentralized runtime over its per-slot broadcast arrays.
+///
+/// * f_u counts the serviceable BSs of the full row — not just the live
+///   row: a BS dropped from B_u still counts while the view says it could
+///   serve u (a BS cannot compute f_u itself; it knows only its own load).
+/// * The choice is the argmin of (v(u,i), BsId) over the *serviceable*
+///   entries of the live row.
+/// * Line 10 erases exactly what proposing, erasing an unserviceable
+///   argmin and proposing again would: every live entry whose (v, BsId)
+///   sorts before the choice — all unserviceable by construction — or the
+///   whole row when nothing is serviceable. Unserviceable entries that
+///   sort after the choice stay: a view that can grow (a stale broadcast,
+///   the optimistic prior, a rebooted BS) may make them serviceable again.
 template <typename ViewFn>
-std::optional<BsId> choose_proposal_soa(const Scenario& scenario, LiveCandidates& lc,
-                                        UeId u, double rho, ViewFn&& view) {
+Proposal propose_soa(const Scenario& scenario, LiveCandidates& lc, UeId u, double rho,
+                     ViewFn&& view) {
   DMRA_REQUIRE(rho >= 0.0);
-  // dmra::hotpath begin(choose-proposal)
+  // dmra::hotpath begin(propose)
   const std::span<const BsId> cands = scenario.candidates(u);
   const std::span<const double> prices = scenario.candidate_prices(u);
   const std::span<const std::uint32_t> rrb_demand = scenario.candidate_rrbs(u);
   const std::size_t base = scenario.candidate_offset(u);
   const std::uint32_t cru_demand = scenario.ue(u).cru_demand;
-  while (!lc.empty(u)) {
-    const std::span<const std::uint32_t> row = lc.live(u);
-    // argmin v(u,i); ties toward the smaller BsId for determinism (rows
-    // stay ascending in BsId, so the first minimum wins ties).
-    std::size_t best = 0;
-    auto [best_crus, best_rrbs] = view(base + row[0], cands[row[0]]);
-    double best_v = ue_preference_value(prices[row[0]], rho, best_crus, best_rrbs);
-    for (std::size_t n = 1; n < row.size(); ++n) {
-      const auto [crus, rrbs] = view(base + row[n], cands[row[n]]);
-      const double v = ue_preference_value(prices[row[n]], rho, crus, rrbs);
-      if (v < best_v || (v == best_v && cands[row[n]] < cands[row[best]])) {
-        best = n;
-        best_v = v;
-        best_crus = crus;
-        best_rrbs = rrbs;
-      }
-    }
-    const std::uint32_t slot = row[best];
-    if (rrb_demand[slot] != 0 && best_crus >= cru_demand && best_rrbs >= rrb_demand[slot])
-      return cands[slot];
-    // Resources only shrink, so an unserviceable BS stays unserviceable:
-    // remove it permanently (Alg. 1 line 10).
-    lc.erase_at(u, best);
-  }
-  return std::nullopt;
-  // dmra::hotpath end(choose-proposal)
-}
-
-/// Live f_u: serviceable BSs among u's *full* candidate row (not the
-/// shrinking live row — a BS dropped from B_u still counts while the view
-/// says it could serve u). Same `view` callable as choose_proposal_soa.
-template <typename ViewFn>
-std::uint32_t live_coverage_count_soa(const Scenario& scenario, UeId u, ViewFn&& view) {
-  // dmra::hotpath begin(coverage-count)
-  const std::span<const BsId> cands = scenario.candidates(u);
-  const std::span<const std::uint32_t> rrb_demand = scenario.candidate_rrbs(u);
-  const std::size_t base = scenario.candidate_offset(u);
-  const std::uint32_t cru_demand = scenario.ue(u).cru_demand;
-  std::uint32_t n = 0;
+  const std::span<const std::uint32_t> row = lc.live(u);
+  // Slots are row-local and ascending in BsId, so comparing slots breaks
+  // ties exactly as comparing BsIds, and a strict < keeps the first
+  // (smaller) one. Until a serviceable entry is found the choice reads
+  // (+inf, kNone), which every entry sorts before.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::size_t best = kNone;  // serviceable live argmin
+  std::size_t lost = kNone;  // unserviceable live argmin
+  double best_v = std::numeric_limits<double>::infinity();
+  double lost_v = 0.0;
+  std::uint32_t f_u = 0;
+  std::size_t next = 0;  // position in the live row, a subsequence of the full row
   for (std::size_t k = 0; k < cands.size(); ++k) {
-    if (rrb_demand[k] == 0) continue;
     const auto [crus, rrbs] = view(base + k, cands[k]);
-    if (crus >= cru_demand && rrbs >= rrb_demand[k]) ++n;
+    const bool serviceable = rrb_demand[k] != 0 && crus >= cru_demand && rrbs >= rrb_demand[k];
+    f_u += serviceable ? 1 : 0;
+    if (next == row.size() || row[next] != k) continue;  // not in B_u
+    ++next;
+    const double v = ue_preference_value(prices[k], rho, crus, rrbs);
+    if (serviceable) {
+      if (best == kNone || v < best_v) {
+        best = k;
+        best_v = v;
+      }
+    } else if (lost == kNone || v < lost_v) {
+      lost = k;
+      lost_v = v;
+    }
   }
-  return n;
-  // dmra::hotpath end(coverage-count)
+  const auto before_choice = [&](double v, std::size_t k) {
+    return v < best_v || (v == best_v && k < best);
+  };
+  if (lost != kNone && before_choice(lost_v, lost)) {
+    // Some entry Alg. 1 would have tried before the choice is
+    // unserviceable: drop every such entry, in one order-preserving pass.
+    lc.erase_if(u, [&](std::uint32_t k) {
+      const auto [crus, rrbs] = view(base + k, cands[k]);
+      return before_choice(ue_preference_value(prices[k], rho, crus, rrbs), k);
+    });
+  }
+  if (best == kNone) return {std::nullopt, f_u};
+  return {cands[best], f_u};
+  // dmra::hotpath end(propose)
 }
 
 /// One UE's proposal as seen by a BS: the UE id plus the f_u the UE

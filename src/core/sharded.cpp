@@ -55,7 +55,7 @@ ShardedResult run_sharded_dmra(const Scenario& scenario, const DmraConfig& confi
   std::vector<std::uint32_t> view_crus(scenario.num_candidate_slots());
   std::vector<std::uint32_t> view_rrbs(scenario.num_candidate_slots());
   LiveCandidates b_u;
-  b_u.build(scenario);
+  b_u.build(scenario, part.region_ues);
 
   const NetworkConditions reliable;
   std::vector<runtime_detail::ProtocolRun> runs = obs::traced_parallel_map(
@@ -97,8 +97,6 @@ ShardedResult run_sharded_dmra(const Scenario& scenario, const DmraConfig& confi
   // pass is deterministic (fixed UE order, fixed residual state), so the
   // whole run is reproducible for any shard count.
   if (!part.boundary_ues.empty()) {
-    std::vector<bool> matched(nu, true);
-    for (const UeId u : part.boundary_ues) matched[u.idx()] = false;
     ResourceState state(scenario);
     for (std::size_t ui = 0; ui < nu; ++ui) {
       const UeId u{static_cast<std::uint32_t>(ui)};
@@ -110,8 +108,8 @@ ShardedResult run_sharded_dmra(const Scenario& scenario, const DmraConfig& confi
       // reports are relative to a mid-run state the auditor cannot
       // recount; the merged allocation is re-audited manually below.
       audit::ScopedAuditObserver mute(nullptr);
-      reconcile =
-          solve_dmra_partial(scenario, config, state, result.dmra.allocation, matched);
+      reconcile = solve_dmra_partial(scenario, config, state, result.dmra.allocation,
+                                     part.boundary_ues);
     }
     result.shard.reconcile_rounds = reconcile.rounds;
     result.dmra.proposals_sent += reconcile.proposals_sent;

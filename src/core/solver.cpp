@@ -30,10 +30,15 @@ void sum_headroom(const Scenario& scenario, const ResourceState& state,
 
 DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config,
                               ResourceState& state, Allocation& allocation,
-                              std::vector<bool>& matched) {
+                              std::span<const UeId> proposers) {
   DMRA_REQUIRE(config.rho >= 0.0);
   DMRA_REQUIRE(allocation.num_ues() == scenario.num_ues());
-  DMRA_REQUIRE(matched.size() == scenario.num_ues());
+  for (std::size_t k = 0; k < proposers.size(); ++k) {
+    DMRA_REQUIRE_MSG(proposers[k].idx() < scenario.num_ues(), "proposer outside the scenario");
+    DMRA_REQUIRE_MSG(k == 0 || proposers[k - 1] < proposers[k],
+                     "proposers must be strictly ascending");
+    DMRA_REQUIRE_MSG(allocation.is_cloud(proposers[k]), "proposer already holds a BS");
+  }
 
   DmraResult result;
   result.allocation = Allocation(0);  // filled at the end
@@ -48,18 +53,17 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
     traced_profit = total_profit(scenario, allocation);
   }
 
-  // The proposal pass reads the ledger directly: remaining CRUs of the
-  // proposer's service plus remaining RRBs, per candidate slot.
-  const std::size_t nu = scenario.num_ues();
+  // Only proposers get a live row. `seeking` holds the proposers still in
+  // the matching, ascending: a UE leaves it for good once a BS accepts it
+  // or its B_u runs dry (remote cloud), so each round walks no one else.
   LiveCandidates b_u;
-  b_u.build(scenario);
-  std::vector<bool> at_cloud(nu, false);
-  for (std::size_t ui = 0; ui < nu; ++ui) {
-    const UeId u{static_cast<std::uint32_t>(ui)};
-    if (!matched[ui] && b_u.empty(u)) at_cloud[ui] = true;
-  }
+  b_u.build(scenario, proposers);
+  std::vector<UeId> seeking;
+  seeking.assign(proposers.begin(), proposers.end());  // only ever shrinks
 
-  const std::size_t round_limit = config.max_rounds > 0 ? config.max_rounds : nu + 1;
+  // Every round with proposals matches at least one proposer.
+  const std::size_t np = proposers.size();
+  const std::size_t round_limit = config.max_rounds > 0 ? config.max_rounds : np + 1;
 
   // Per-round scratch, hoisted out of the round loop so every buffer
   // settles at its high-water capacity: the flat proposal log (UE order),
@@ -73,15 +77,15 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
   std::vector<ProposalInfo> grouped;       // proposals regrouped by BS
   std::vector<std::uint32_t> group_count;  // per-BS counts, then cursors
   std::vector<std::size_t> group_begin;    // per-BS group offsets (nb + 1)
-  prop_bs.reserve(nu);
-  prop_info.reserve(nu);
-  grouped.reserve(nu);
+  prop_bs.reserve(np);
+  prop_info.reserve(np);
+  grouped.reserve(np);
   group_count.reserve(nb);
   group_begin.reserve(nb + 1);
   BsLocalResources local;
   local.crus.resize(ns);
   BsSelectWorkspace ws;
-  ws.reserve(ns, nu);
+  ws.reserve(ns, np);
 
   bool converged = false;
   for (std::size_t round = 0; round < round_limit; ++round) {
@@ -92,34 +96,31 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
     // dmra::hotpath begin(solver-propose)
     prop_bs.clear();
     prop_info.clear();
-    std::size_t sent_this_round = 0;
-    for (std::size_t ui = 0; ui < nu; ++ui) {
-      if (matched[ui] || at_cloud[ui]) continue;
-      const UeId u{static_cast<std::uint32_t>(ui)};
+    std::size_t still = 0;  // seeking, compacted in place
+    for (const UeId u : seeking) {
+      if (!allocation.is_cloud(u)) continue;  // accepted last round
       const ServiceId j = scenario.ue(u).service;
       const auto view = [&state, j](std::size_t, BsId i) {
         return std::pair<std::uint32_t, std::uint32_t>{state.remaining_crus(i, j),
                                                        state.remaining_rrbs(i)};
       };
-      const auto choice = choose_proposal_soa(scenario, b_u, u, config.rho, view);
-      if (!choice) {
-        at_cloud[ui] = true;  // Alg. 1: B_u exhausted → remote cloud
-        continue;
-      }
-      const std::uint32_t f_u = live_coverage_count_soa(scenario, u, view);
-      prop_bs.push_back(choice->value);
-      prop_info.push_back(ProposalInfo{u, f_u});
-      ++sent_this_round;
+      const Proposal p = propose_soa(scenario, b_u, u, config.rho, view);
+      if (!p.bs) continue;  // Alg. 1: B_u exhausted → remote cloud
+      seeking[still++] = u;
+      prop_bs.push_back(p.bs->value);
+      prop_info.push_back(ProposalInfo{u, p.f_u});
       if (rec != nullptr) {
         obs::TraceEvent e;
         e.kind = obs::EventKind::kProposal;
         e.ue = u.value;
-        e.bs = choice->value;
-        e.service = scenario.ue(u).service.value;
-        e.value = f_u;
+        e.bs = p.bs->value;
+        e.service = j.value;
+        e.value = p.f_u;
         rec->record(e);
       }
     }
+    seeking.resize(still);
+    const std::size_t sent_this_round = still;
     // dmra::hotpath end(solver-propose)
     if (sent_this_round == 0) {
       converged = true;
@@ -159,7 +160,6 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
       for (UeId u : accepted) {
         state.commit(u, bs);
         allocation.assign(u, bs);
-        matched[u.idx()] = true;
         ++accepted_this_round;
         if (rec != nullptr) traced_profit += scenario.pair_profit(u, bs);
       }
@@ -186,10 +186,7 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
       row.trim_evictions = tally.trim_evictions;
       row.broadcasts = tally.broadcasts;
       row.messages = 0;  // direct solver: no bus
-      std::size_t seeking = 0;
-      for (std::size_t ui = 0; ui < nu; ++ui)
-        if (!matched[ui] && !at_cloud[ui]) ++seeking;
-      row.unmatched_ues = seeking;
+      row.unmatched_ues = sent_this_round - accepted_this_round;  // proposed, not accepted
       row.cumulative_profit = traced_profit;
       sum_headroom(scenario, state, row.cru_headroom, row.rrb_headroom);
       rec->finish_round(row);
@@ -214,8 +211,10 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
 DmraResult solve_dmra(const Scenario& scenario, const DmraConfig& config) {
   ResourceState state(scenario);
   Allocation allocation(scenario.num_ues());
-  std::vector<bool> matched(scenario.num_ues(), false);
-  return solve_dmra_partial(scenario, config, state, allocation, matched);
+  std::vector<UeId> everyone(scenario.num_ues());
+  for (std::size_t ui = 0; ui < everyone.size(); ++ui)
+    everyone[ui] = UeId{static_cast<std::uint32_t>(ui)};
+  return solve_dmra_partial(scenario, config, state, allocation, everyone);
 }
 
 }  // namespace dmra

@@ -8,6 +8,8 @@
 // care about the result.
 #pragma once
 
+#include <span>
+
 #include "core/preference.hpp"
 #include "mec/allocation.hpp"
 #include "mec/scenario.hpp"
@@ -29,14 +31,16 @@ DmraResult solve_dmra(const Scenario& scenario, const DmraConfig& config = {});
 // Forward declaration; defined in mec/resources.hpp.
 class ResourceState;
 
-/// Run the DMRA matching over a *subset* of UEs against an existing
-/// resource state: UEs with matched[u] == true never propose; everyone
-/// else is matched into whatever `state` has left. On return, `state`,
-/// `allocation`, and `matched` reflect the new assignments. This is the
-/// building block of the fault-recovery repair and sharded reconcile
-/// passes (core/) and of the serving loop's periodic re-solve (sim/churn).
+/// Run the DMRA matching for the UEs in `proposers` against an existing
+/// resource state; nobody else proposes. `proposers` must be strictly
+/// ascending UE ids of the scenario, each at the cloud in `allocation`.
+/// They are matched into whatever `state` has left, and on return `state`
+/// and `allocation` hold the new assignments. Each round walks only the
+/// proposers still seeking a BS. This is the building block of the
+/// fault-recovery repair and sharded reconcile passes (core/) and of the
+/// serving loop's periodic re-solve (sim/churn).
 DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config,
                               ResourceState& state, Allocation& allocation,
-                              std::vector<bool>& matched);
+                              std::span<const UeId> proposers);
 
 }  // namespace dmra

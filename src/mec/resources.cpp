@@ -19,16 +19,6 @@ ResourceState::ResourceState(const Scenario& scenario) : scenario_(&scenario) {
   }
 }
 
-std::size_t ResourceState::cru_index(BsId i, ServiceId j) const {
-  return i.idx() * scenario_->num_services() + j.idx();
-}
-
-std::uint32_t ResourceState::remaining_crus(BsId i, ServiceId j) const {
-  return crus_[cru_index(i, j)];
-}
-
-std::uint32_t ResourceState::remaining_rrbs(BsId i) const { return rrbs_[i.idx()]; }
-
 bool ResourceState::can_serve(UeId u, BsId i) const {
   const UserEquipment& e = scenario_->ue(u);
   const LinkStats& l = scenario_->link(u, i);

@@ -22,11 +22,14 @@ class ResourceState {
   /// Full capacities from the scenario's BSs.
   explicit ResourceState(const Scenario& scenario);
 
+  // The two ledger reads are defined here, not in resources.cpp, so every
+  // preference pass that closes over a ResourceState inlines them.
+
   /// Remaining CRUs of service j at BS i.
-  std::uint32_t remaining_crus(BsId i, ServiceId j) const;
+  std::uint32_t remaining_crus(BsId i, ServiceId j) const { return crus_[cru_index(i, j)]; }
 
   /// Remaining RRBs at BS i.
-  std::uint32_t remaining_rrbs(BsId i) const;
+  std::uint32_t remaining_rrbs(BsId i) const { return rrbs_[i.idx()]; }
 
   /// True iff BS i can currently serve UE u: hosts the service, has the
   /// CRUs, and has the RRBs (per the precomputed n(u,i)).
@@ -68,7 +71,9 @@ class ResourceState {
   std::vector<std::uint32_t> crus_;  // |B| × |S| row-major
   std::vector<std::uint32_t> rrbs_;  // |B|
 
-  std::size_t cru_index(BsId i, ServiceId j) const;
+  std::size_t cru_index(BsId i, ServiceId j) const {
+    return i.idx() * scenario_->num_services() + j.idx();
+  }
 };
 
 }  // namespace dmra

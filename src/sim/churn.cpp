@@ -551,13 +551,12 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
           world_crus[i * ns + j] = alloc.state().remaining_crus(
               bs, ServiceId{static_cast<std::uint32_t>(j)});
       }
-      std::vector<bool> matched(universe.num_ues(), false);
+      std::vector<UeId> active;  // the proposers; inactive slots sit out
+      active.reserve(alloc.num_active());
       for (std::size_t si = 0; si < universe.num_ues(); ++si) {
         const UeId u{static_cast<std::uint32_t>(si)};
-        if (!alloc.active(u)) {
-          matched[si] = true;  // inactive slots sit out (cloud, zero profit)
-          continue;
-        }
+        if (!alloc.active(u)) continue;
+        active.push_back(u);
         if (const auto bs = alloc.allocation().bs_of(u)) {
           const UserEquipment& e = universe.ue(u);
           world_crus[bs->idx() * ns + e.service.idx()] += e.cru_demand;
@@ -575,8 +574,7 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
       {
         obs::ScopedTraceRecorder mute(nullptr);
         audit::ScopedAuditObserver mute_audit(nullptr);
-        solve_dmra_partial(universe, config.incremental.dmra, scratch,
-                           scratch_alloc, matched);
+        solve_dmra_partial(universe, config.incremental.dmra, scratch, scratch_alloc, active);
       }
       const double scratch_profit = total_profit(universe, scratch_alloc);
       const double live = alloc.live_profit();

@@ -155,13 +155,10 @@ TEST(IncrementalAllocator, AdmitMatchesSolveDmraPartialSingleProposer) {
   IncrementalAllocator inc(s);
   ResourceState state(s);
   Allocation ref(s.num_ues());
-  std::vector<bool> matched(s.num_ues(), true);
   for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
     const UeId u{static_cast<std::uint32_t>(ui)};
     inc.admit(u);
-    matched[ui] = false;
-    solve_dmra_partial(s, IncrementalConfig{}.dmra, state, ref, matched);
-    matched[ui] = true;  // cloud-forwarded UEs stay unmatched in the partial run
+    solve_dmra_partial(s, IncrementalConfig{}.dmra, state, ref, {&u, 1});  // u alone proposes
     ASSERT_EQ(inc.allocation().bs_of(u), ref.bs_of(u)) << "ue " << ui;
   }
   EXPECT_EQ(inc.allocation(), ref);

@@ -11,6 +11,12 @@
 namespace dmra {
 namespace {
 
+std::vector<UeId> all_ues(const Scenario& s) {
+  std::vector<UeId> out(s.num_ues());
+  for (std::size_t ui = 0; ui < out.size(); ++ui) out[ui] = UeId{static_cast<std::uint32_t>(ui)};
+  return out;
+}
+
 TEST(PartialSolver, PreMatchedUesNeverPropose) {
   ScenarioConfig cfg;
   cfg.num_ues = 100;
@@ -20,19 +26,21 @@ TEST(PartialSolver, PreMatchedUesNeverPropose) {
   const Allocation full = solve_dmra(s).allocation;
   ResourceState state(s);
   Allocation alloc(s.num_ues());
-  std::vector<bool> matched(s.num_ues(), false);
+  std::vector<UeId> proposers;
   std::size_t premarked = 0;
-  for (std::uint32_t ui = 0; ui < 20; ++ui) {
+  for (std::uint32_t ui = 0; ui < s.num_ues(); ++ui) {
     const UeId u{ui};
-    if (const auto bs = full.bs_of(u)) {
+    const auto bs = full.bs_of(u);
+    if (ui < 20 && bs) {
       state.commit(u, *bs);
       alloc.assign(u, *bs);
-      matched[ui] = true;
       ++premarked;
+    } else {
+      proposers.push_back(u);
     }
   }
 
-  const DmraResult r = solve_dmra_partial(s, {}, state, alloc, matched);
+  const DmraResult r = solve_dmra_partial(s, {}, state, alloc, proposers);
   // The pre-assigned UEs kept their BS.
   for (std::uint32_t ui = 0; ui < 20; ++ui) {
     const UeId u{ui};
@@ -51,8 +59,7 @@ TEST(PartialSolver, AllPreMatchedMeansNothingToDo) {
   const Scenario s = generate_scenario(cfg, 5);
   ResourceState state(s);
   Allocation alloc(s.num_ues());
-  std::vector<bool> matched(s.num_ues(), true);  // pretend everyone is placed
-  const DmraResult r = solve_dmra_partial(s, {}, state, alloc, matched);
+  const DmraResult r = solve_dmra_partial(s, {}, state, alloc, {});  // nobody proposes
   EXPECT_EQ(r.rounds, 0u);
   EXPECT_EQ(r.proposals_sent, 0u);
 }
@@ -66,12 +73,11 @@ TEST(PartialSolver, RespectsDepletedState) {
   const Scenario s = ms.build();
   ResourceState state(s);
   Allocation alloc(s.num_ues());
-  std::vector<bool> matched(s.num_ues(), false);
   // Externally consume the only slot for UE 1's benefit.
   state.commit(UeId{1}, BsId{0});
   alloc.assign(UeId{1}, BsId{0});
-  matched[1] = true;
-  const DmraResult r = solve_dmra_partial(s, {}, state, alloc, matched);
+  const UeId proposer{0};
+  const DmraResult r = solve_dmra_partial(s, {}, state, alloc, {&proposer, 1});
   (void)r;
   EXPECT_TRUE(alloc.is_cloud(UeId{0}));  // nothing left for UE 0
 }
@@ -81,12 +87,25 @@ TEST(PartialSolver, MismatchedSizesAreContractViolations) {
   cfg.num_ues = 10;
   const Scenario s = generate_scenario(cfg, 1);
   ResourceState state(s);
+  const std::vector<UeId> everyone = all_ues(s);
   Allocation small(5);
-  std::vector<bool> matched(10, false);
-  EXPECT_THROW(solve_dmra_partial(s, {}, state, small, matched), ContractViolation);
+  EXPECT_THROW(solve_dmra_partial(s, {}, state, small, everyone), ContractViolation);
   Allocation ok(10);
-  std::vector<bool> bad_mask(7, false);
-  EXPECT_THROW(solve_dmra_partial(s, {}, state, ok, bad_mask), ContractViolation);
+  const std::vector<UeId> descending{UeId{3}, UeId{2}};
+  EXPECT_THROW(solve_dmra_partial(s, {}, state, ok, descending), ContractViolation);
+  const std::vector<UeId> duplicate{UeId{2}, UeId{2}};
+  EXPECT_THROW(solve_dmra_partial(s, {}, state, ok, duplicate), ContractViolation);
+  const std::vector<UeId> outside{UeId{4}, UeId{10}};
+  EXPECT_THROW(solve_dmra_partial(s, {}, state, ok, outside), ContractViolation);
+  // A proposer that already holds a BS would commit its demand twice.
+  const UeId u{0};
+  ASSERT_FALSE(s.candidates(u).empty());
+  const BsId held = s.candidates(u)[0];
+  ASSERT_TRUE(state.can_serve(u, held));
+  ok.assign(u, held);
+  EXPECT_THROW(solve_dmra_partial(s, {}, state, ok, everyone), ContractViolation);
+  // Nothing ran: the ledger is untouched.
+  EXPECT_EQ(state.remaining_rrbs(held), s.bs(held).num_rrbs);
 }
 
 TEST(PartialSolver, EquivalentToFullSolveFromEmptyState) {
@@ -95,8 +114,7 @@ TEST(PartialSolver, EquivalentToFullSolveFromEmptyState) {
   const Scenario s = generate_scenario(cfg, 7);
   ResourceState state(s);
   Allocation alloc(s.num_ues());
-  std::vector<bool> matched(s.num_ues(), false);
-  const DmraResult partial = solve_dmra_partial(s, {}, state, alloc, matched);
+  const DmraResult partial = solve_dmra_partial(s, {}, state, alloc, all_ues(s));
   const DmraResult full = solve_dmra(s);
   EXPECT_EQ(alloc, full.allocation);
   EXPECT_EQ(partial.rounds, full.rounds);

@@ -10,6 +10,7 @@
 #include "../test_util.hpp"
 #include "mec/resources.hpp"
 #include "util/rng.hpp"
+#include "workload/generator.hpp"
 
 namespace dmra {
 namespace {
@@ -28,6 +29,20 @@ auto state_view(const Scenario& s, const ResourceState& rs, UeId u) {
 double preference(const Scenario& s, const ResourceState& rs, UeId u, BsId i, double rho) {
   return ue_preference_value(s.price(u, i), rho, rs.remaining_crus(i, s.ue(u).service),
                              rs.remaining_rrbs(i));
+}
+
+/// Every UE of the scenario, ascending.
+std::vector<UeId> all_ues(const Scenario& s) {
+  std::vector<UeId> out(s.num_ues());
+  for (std::size_t ui = 0; ui < out.size(); ++ui) out[ui] = UeId{static_cast<std::uint32_t>(ui)};
+  return out;
+}
+
+/// Every UE's B_u at its full candidate list.
+LiveCandidates full_rows(const Scenario& s) {
+  LiveCandidates lc;
+  lc.build(s, all_ues(s));
+  return lc;
 }
 
 /// The BSs left in u's live candidate row, in row order.
@@ -92,11 +107,13 @@ TEST(ViewCanServe, ChecksEveryDimension) {
   // view to BS 0 alone, then take away one dimension at a time.
   const auto only_bs0 = [&](std::uint32_t crus_cut, std::uint32_t rrbs_cut) {
     const ServiceId j = s.ue(u).service;
-    return live_coverage_count_soa(s, u, [&](std::size_t, BsId i) {
-      if (i != BsId{0}) return std::pair<std::uint32_t, std::uint32_t>{0, 0};
-      return std::pair<std::uint32_t, std::uint32_t>{rs.remaining_crus(i, j) - crus_cut,
-                                                     rs.remaining_rrbs(i) - rrbs_cut};
-    });
+    LiveCandidates b_u = full_rows(s);
+    return propose_soa(s, b_u, u, 100.0, [&](std::size_t, BsId i) {
+             if (i != BsId{0}) return std::pair<std::uint32_t, std::uint32_t>{0, 0};
+             return std::pair<std::uint32_t, std::uint32_t>{rs.remaining_crus(i, j) - crus_cut,
+                                                            rs.remaining_rrbs(i) - rrbs_cut};
+           })
+        .f_u;
   };
   EXPECT_EQ(only_bs0(0, 0), 1u);
   EXPECT_EQ(only_bs0(0, 0) == 1u, rs.can_serve(u, BsId{0}));
@@ -114,9 +131,10 @@ TEST(LiveCoverage, TracksResourceDepletion) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   const auto view = state_view(s, rs, UeId{0});
-  EXPECT_EQ(live_coverage_count_soa(s, UeId{0}, view), 2u);
+  LiveCandidates b_u = full_rows(s);
+  EXPECT_EQ(propose_soa(s, b_u, UeId{0}, 100.0, view).f_u, 2u);
   rs.commit(UeId{1}, BsId{0});  // exhausts BS 0's service-0 CRUs
-  EXPECT_EQ(live_coverage_count_soa(s, UeId{0}, view), 1u);
+  EXPECT_EQ(propose_soa(s, b_u, UeId{0}, 100.0, view).f_u, 1u);
 }
 
 TEST(ChooseProposal, PicksSmallestPreferenceValue) {
@@ -127,10 +145,9 @@ TEST(ChooseProposal, PicksSmallestPreferenceValue) {
   ms.add_ue(sp, {100, 0}, ServiceId{0});  // nearer to BS 0 → cheaper
   const Scenario s = ms.build();
   ResourceState rs(s);
-  LiveCandidates b_u;
-  b_u.build(s);
+  LiveCandidates b_u = full_rows(s);
   ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
-  EXPECT_EQ(choose_proposal_soa(s, b_u, UeId{0}, 100.0, state_view(s, rs, UeId{0})),
+  EXPECT_EQ(propose_soa(s, b_u, UeId{0}, 100.0, state_view(s, rs, UeId{0})).bs,
             (BsId{0}));
   EXPECT_EQ(live_bss(s, b_u, UeId{0}).size(), 2u);  // nothing erased — both serviceable
 }
@@ -145,12 +162,11 @@ TEST(ChooseProposal, ErasesUnserviceableAndFallsBack) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});  // BS 0 out of CRUs
-  LiveCandidates b_u;
-  b_u.build(s);
+  LiveCandidates b_u = full_rows(s);
   ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
   // With a small rho the near (cheap) BS 0 is still the argmin; it is
   // unserviceable, so Alg. 1 line 10 erases it and falls back to BS 1.
-  EXPECT_EQ(choose_proposal_soa(s, b_u, UeId{0}, 10.0, state_view(s, rs, UeId{0})),
+  EXPECT_EQ(propose_soa(s, b_u, UeId{0}, 10.0, state_view(s, rs, UeId{0})).bs,
             (BsId{1}));
   // BS 0 permanently erased.
   EXPECT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{1}}));
@@ -166,13 +182,12 @@ TEST(ChooseProposal, DoesNotEraseBsesItNeverPicked) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});
-  LiveCandidates b_u;
-  b_u.build(s);
+  LiveCandidates b_u = full_rows(s);
   ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
   // A huge rho makes the exhausted BS 0 infinitely unattractive: BS 1 is
   // the argmin directly, so BS 0 stays in B_u (only picked-and-failed BSs
   // are deleted).
-  EXPECT_EQ(choose_proposal_soa(s, b_u, UeId{0}, 1e6, state_view(s, rs, UeId{0})),
+  EXPECT_EQ(propose_soa(s, b_u, UeId{0}, 1e6, state_view(s, rs, UeId{0})).bs,
             (BsId{1}));
   EXPECT_EQ(live_bss(s, b_u, UeId{0}).size(), 2u);
 }
@@ -186,12 +201,138 @@ TEST(ChooseProposal, ReturnsNulloptWhenExhausted) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});
-  LiveCandidates b_u;
-  b_u.build(s);
+  LiveCandidates b_u = full_rows(s);
   ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}}));
   EXPECT_FALSE(
-      choose_proposal_soa(s, b_u, UeId{0}, 100.0, state_view(s, rs, UeId{0})).has_value());
+      propose_soa(s, b_u, UeId{0}, 100.0, state_view(s, rs, UeId{0})).bs.has_value());
   EXPECT_TRUE(b_u.empty(UeId{0}));
+}
+
+// ---- propose_soa against the two-pass loop it replaced ----------------------
+
+/// The UE step before propose_soa, kept here as the reference: propose to
+/// the live argmin of (v, BsId), erase it when unserviceable and propose
+/// again (one pass per try), then count f_u over the full row in a pass of
+/// its own.
+template <typename ViewFn>
+std::optional<BsId> choose_proposal_soa(const Scenario& scenario, LiveCandidates& lc, UeId u,
+                                        double rho, ViewFn&& view) {
+  const std::span<const BsId> cands = scenario.candidates(u);
+  const std::span<const double> prices = scenario.candidate_prices(u);
+  const std::span<const std::uint32_t> rrb_demand = scenario.candidate_rrbs(u);
+  const std::size_t base = scenario.candidate_offset(u);
+  const std::uint32_t cru_demand = scenario.ue(u).cru_demand;
+  while (!lc.empty(u)) {
+    const std::span<const std::uint32_t> row = lc.live(u);
+    std::size_t best = 0;
+    auto [best_crus, best_rrbs] = view(base + row[0], cands[row[0]]);
+    double best_v = ue_preference_value(prices[row[0]], rho, best_crus, best_rrbs);
+    for (std::size_t n = 1; n < row.size(); ++n) {
+      const auto [crus, rrbs] = view(base + row[n], cands[row[n]]);
+      const double v = ue_preference_value(prices[row[n]], rho, crus, rrbs);
+      if (v < best_v || (v == best_v && cands[row[n]] < cands[row[best]])) {
+        best = n;
+        best_v = v;
+        best_crus = crus;
+        best_rrbs = rrbs;
+      }
+    }
+    const std::uint32_t slot = row[best];
+    if (rrb_demand[slot] != 0 && best_crus >= cru_demand && best_rrbs >= rrb_demand[slot])
+      return cands[slot];
+    lc.erase_at(u, best);
+  }
+  return std::nullopt;
+}
+
+template <typename ViewFn>
+std::uint32_t live_coverage_count_soa(const Scenario& scenario, UeId u, ViewFn&& view) {
+  const std::span<const BsId> cands = scenario.candidates(u);
+  const std::span<const std::uint32_t> rrb_demand = scenario.candidate_rrbs(u);
+  const std::size_t base = scenario.candidate_offset(u);
+  const std::uint32_t cru_demand = scenario.ue(u).cru_demand;
+  std::uint32_t n = 0;
+  for (std::size_t k = 0; k < cands.size(); ++k) {
+    if (rrb_demand[k] == 0) continue;
+    const auto [crus, rrbs] = view(base + k, cands[k]);
+    if (crus >= cru_demand && rrbs >= rrb_demand[k]) ++n;
+  }
+  return n;
+}
+
+// Views here are random and non-monotone — a level may rise between calls,
+// as a runtime view can (stale broadcasts, the optimistic prior, a BS back
+// from an outage) — and drawn from a few levels around each demand, so
+// (v, BsId) ties are common: equal remaining sums, +inf for exhausted BSs
+// at ρ > 0, and equal prices in the symmetric deployment.
+TEST(ProposeSoa, MatchesTwoPassReferenceOnRandomViews) {
+  std::vector<Scenario> scenarios;
+  ScenarioConfig paper;
+  paper.num_ues = 300;
+  scenarios.push_back(generate_scenario(paper, 11));
+  ScenarioConfig dense = paper;  // the paper's density over a 100-BS grid
+  dense.bss_per_sp = 20;
+  dense.area_side_m = 3000.0;
+  dense.num_ues = 600;
+  scenarios.push_back(generate_scenario(dense, 12));
+  test::MiniScenario ms;  // four same-SP BSs equidistant from every UE
+  const SpId sp = ms.add_sp();
+  ms.add_bs(sp, {-200, 0}, 8, 20);
+  ms.add_bs(sp, {200, 0}, 12, 10);
+  ms.add_bs(sp, {0, -200}, 8, 20);
+  ms.add_bs(sp, {0, 200}, 4, 40);
+  for (std::uint32_t d = 3; d <= 5; ++d) {
+    ms.add_ue(sp, {0, 0}, ServiceId{0}, d, 2e6);
+    ms.add_ue(sp, {0, 0}, ServiceId{1}, d, 6e6);
+  }
+  scenarios.push_back(ms.build());
+
+  Rng rng("propose-soa", 1);
+  const auto level = [&](std::uint32_t demand) -> std::uint32_t {
+    constexpr std::int64_t kOffsets[] = {-2, -1, 0, 0, 1, 3, 40};
+    if (rng.bernoulli(0.1)) return 0;
+    const std::int64_t v = static_cast<std::int64_t>(demand) + kOffsets[rng.index(7)];
+    return static_cast<std::uint32_t>(std::max<std::int64_t>(v, 0));
+  };
+  std::size_t calls = 0, erased = 0, exhausted = 0;
+  for (const Scenario& s : scenarios) {
+    const std::vector<UeId> everyone = all_ues(s);
+    std::vector<std::uint32_t> crus(s.num_candidate_slots());
+    std::vector<std::uint32_t> rrbs(s.num_candidate_slots());
+    const auto view = [&](std::size_t slot, BsId) {
+      return std::pair<std::uint32_t, std::uint32_t>{crus[slot], rrbs[slot]};
+    };
+    for (const double rho : {0.0, 1.0, 100.0, 1e6}) {
+      LiveCandidates kernel = full_rows(s);
+      LiveCandidates reference = full_rows(s);
+      for (int pass = 0; pass < 6; ++pass) {  // rows shrink across passes
+        for (const UeId u : everyone) {
+          const std::size_t base = s.candidate_offset(u);
+          const std::span<const std::uint32_t> rrb_demand = s.candidate_rrbs(u);
+          for (std::size_t k = 0; k < rrb_demand.size(); ++k) {
+            crus[base + k] = level(s.ue(u).cru_demand);
+            rrbs[base + k] = level(rrb_demand[k]);
+          }
+        }
+        for (const UeId u : everyone) {
+          const std::size_t before = kernel.live(u).size();
+          const Proposal got = propose_soa(s, kernel, u, rho, view);
+          const std::optional<BsId> want = choose_proposal_soa(s, reference, u, rho, view);
+          ASSERT_EQ(got.bs, want) << "ue " << u.value << " rho " << rho;
+          ASSERT_EQ(got.f_u, live_coverage_count_soa(s, u, view))
+              << "ue " << u.value << " rho " << rho;
+          ASSERT_TRUE(std::ranges::equal(kernel.live(u), reference.live(u)))
+              << "ue " << u.value << " rho " << rho;
+          erased += before - kernel.live(u).size();
+          exhausted += got.bs ? 0 : 1;
+          ++calls;
+        }
+      }
+    }
+  }
+  EXPECT_GT(calls, 20000u);
+  EXPECT_GT(erased, 1000u);  // line 10 fired, sorted before the choice…
+  EXPECT_GT(exhausted, 0u);  // …and drained whole rows
 }
 
 // ---- bs_select --------------------------------------------------------------

@@ -18,6 +18,17 @@ struct BusStats {
   // longer balances round-for-round: duplicate copies add deliveries that
   // were never sent, and delayed messages can still be in flight when the
   // run ends.
+
+  /// Field-wise sum, for merging the traffic of several buses.
+  BusStats& operator+=(const BusStats& o) {
+    rounds += o.rounds;
+    messages_sent += o.messages_sent;
+    messages_delivered += o.messages_delivered;
+    messages_dropped += o.messages_dropped;
+    messages_duplicated += o.messages_duplicated;
+    messages_delayed += o.messages_delayed;
+    return *this;
+  }
 };
 
 /// One-line human-readable rendering.

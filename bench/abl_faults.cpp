@@ -54,6 +54,7 @@ int main(int argc, char** argv) {
   const auto down_rounds = static_cast<std::size_t>(cli.get_int("down-rounds"));
   const auto crash_round = static_cast<std::size_t>(cli.get_int("crash-round"));
   const auto seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  const bool csv = dmra_bench::checked_bool(cli, "csv");
   dmra_bench::ObsSession obs_session(cli, argv[0]);
   const std::size_t jobs = dmra_bench::jobs_from(cli);
   dmra::ScenarioConfig base_cfg = dmra_bench::paper_config();
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << table.to_aligned();
-  if (cli.get_bool("csv")) std::cout << '\n' << table.to_csv();
+  if (csv) std::cout << '\n' << table.to_csv();
   const std::string out = cli.get_string("out");
   if (!out.empty()) {
     std::ofstream f(out);

@@ -32,12 +32,6 @@ inline void add_jobs_flag(dmra::Cli& cli) {
                "worker threads for per-seed replication (0 = hardware concurrency)");
 }
 
-/// The --jobs value as run_experiment / parallel_map expect it.
-inline std::size_t jobs_from(const dmra::Cli& cli) {
-  const std::int64_t v = cli.get_int("jobs");
-  return v <= 0 ? 0 : static_cast<std::size_t>(v);
-}
-
 /// The comma-separated numbers of a numeric flag, each finite and at
 /// least `min` (and whole when `whole`). Anything else — text, NaN, a
 /// negative count that would wrap a std::size_t — exits 1 with an error
@@ -78,6 +72,23 @@ inline double checked_flag(const dmra::Cli& cli, const std::string& name, double
     std::exit(1);
   }
   return values[0];
+}
+
+/// A yes/no flag: true/1/yes or false/0/no. Anything else exits 1 with an
+/// error naming the flag, like checked_list.
+inline bool checked_bool(const dmra::Cli& cli, const std::string& name) {
+  const std::string text = cli.get_string(name);
+  if (text == "true" || text == "1" || text == "yes") return true;
+  if (text == "false" || text == "0" || text == "no") return false;
+  std::cerr << "error: --" << name << " takes true/false, 1/0 or yes/no, got '" << text
+            << "'\n";
+  std::exit(1);
+}
+
+/// The --jobs value as run_experiment / parallel_map expect it: a whole
+/// number >= 0 (0 = hardware concurrency); anything else exits 1.
+inline std::size_t jobs_from(const dmra::Cli& cli) {
+  return static_cast<std::size_t>(checked_flag(cli, "jobs", 0.0, /*whole=*/true));
 }
 
 /// Every bench takes --trace / --round-csv / --manifest: observability

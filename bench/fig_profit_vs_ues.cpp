@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
 
   const dmra::DmraConfig dmra_cfg{.rho = cli.get_double("rho")};
   const auto faults = dmra_bench::faults_from(cli);
+  const bool csv = dmra_bench::checked_bool(cli, "csv");
 
   dmra::ExperimentSpec spec;
   spec.title = "Fig. " + std::to_string(DMRA_FIG) + ": total profit of SPs vs. number of UEs"
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) obs_session.note_output("series-csv", out_path);
 
   const dmra::ExperimentResult result = dmra::run_experiment(spec);
-  dmra_bench::print_result(result, cli.get_bool("csv"), out_path);
+  dmra_bench::print_result(result, csv, out_path);
   dmra_bench::print_dominance(result);
   return 0;
 }

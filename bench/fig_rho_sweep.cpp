@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   }
   const auto num_ues = static_cast<std::size_t>(cli.get_int("ues"));
   const auto faults = dmra_bench::faults_from(cli);
+  const bool csv = dmra_bench::checked_bool(cli, "csv");
 
   dmra::ExperimentSpec spec;
   spec.title = kProfit
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) obs_session.note_output("series-csv", out_path);
 
   const dmra::ExperimentResult result = dmra::run_experiment(spec);
-  dmra_bench::print_result(result, cli.get_bool("csv"), out_path);
+  dmra_bench::print_result(result, csv, out_path);
 
   // Shape check: monotone trend from the first to the last sweep point.
   const double first = result.cells.front()[0].mean;

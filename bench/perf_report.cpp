@@ -79,12 +79,12 @@ int main(int argc, char** argv) {
     return 0;
   }
   dmra::allocprobe::install();  // count heap allocations in the probes below
-  const bool quick = cli.get_bool("quick");
-  const std::size_t reps = cli.get_int("reps") > 0
-                               ? static_cast<std::size_t>(cli.get_int("reps"))
-                               : (quick ? 2 : 5);
-  dmra_bench::ObsSession obs_session(cli, argv[0]);
+  const bool quick = dmra_bench::checked_bool(cli, "quick");
+  const auto reps_flag =
+      static_cast<std::size_t>(dmra_bench::checked_flag(cli, "reps", 0.0, /*whole=*/true));
+  const std::size_t reps = reps_flag > 0 ? reps_flag : (quick ? 2 : 5);
   const std::size_t jobs = dmra_bench::jobs_from(cli);
+  dmra_bench::ObsSession obs_session(cli, argv[0]);
   const std::vector<std::size_t> scales =
       quick ? std::vector<std::size_t>{250, 500, 1000}
             : std::vector<std::size_t>{500, 1000, 2000};

@@ -31,32 +31,27 @@ struct CellValues {
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("ues", "600", "number of UEs");
-  cli.add_flag("loss", "0,0.1,0.2", "per-message loss rates to sweep");
-  cli.add_flag("crashes", "0,1,2", "BS crash counts to sweep");
-  cli.add_flag("down-rounds", "0", "outage length in rounds (0 = never recovers)");
-  cli.add_flag("crash-round", "2", "round the first crash fires (rest staggered +1)");
-  cli.add_flag("seeds", "5", "number of scenario seeds per cell");
-  cli.add_flag("csv", "false", "also print the table as CSV");
-  cli.add_flag("out", "", "write the table as CSV to this path");
+  cli.add_flag("ues", "600", dmra::Cli::whole(0), "number of UEs");
+  cli.add_flag("loss", "0,0.1,0.2", dmra::Cli::number(0).below(1).as_list(),
+               "per-message loss rates to sweep");
+  cli.add_flag("crashes", "0,1,2", dmra::Cli::whole(0).as_list(), "BS crash counts to sweep");
+  cli.add_flag("down-rounds", "0", dmra::Cli::whole(0),
+               "outage length in rounds (0 = never recovers)");
+  cli.add_flag("crash-round", "2", dmra::Cli::whole(0),
+               "round the first crash fires (rest staggered +1)");
+  cli.add_flag("seeds", "5", dmra::Cli::whole(1), "number of scenario seeds per cell");
+  cli.add_flag("csv", "false", dmra::Cli::yes_no(), "also print the table as CSV");
+  cli.add_flag("out", "", dmra::Cli::text(), "write the table as CSV to this path");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
-  const auto num_ues = static_cast<std::size_t>(cli.get_int("ues"));
-  const auto down_rounds = static_cast<std::size_t>(cli.get_int("down-rounds"));
-  const auto crash_round = static_cast<std::size_t>(cli.get_int("crash-round"));
-  const auto seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
-  const bool csv = dmra_bench::checked_bool(cli, "csv");
+  cli.parse_or_exit(argc, argv);
+  const std::size_t num_ues = cli.get_size("ues");
+  const std::size_t down_rounds = cli.get_size("down-rounds");
+  const std::size_t crash_round = cli.get_size("crash-round");
+  const auto seeds = dmra::default_seeds(cli.get_size("seeds"));
+  const bool csv = cli.get_bool("csv");
   dmra_bench::ObsSession obs_session(cli, argv[0]);
-  const std::size_t jobs = dmra_bench::jobs_from(cli);
+  const std::size_t jobs = cli.get_size("jobs");
   dmra::ScenarioConfig base_cfg = dmra_bench::paper_config();
   base_cfg.num_ues = num_ues;
   obs_session.describe_scenario(base_cfg);

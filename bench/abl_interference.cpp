@@ -15,25 +15,18 @@
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("ues", "800", "number of UEs");
-  cli.add_flag("seeds", "5", "seeds per configuration");
-  cli.add_flag("activity", "0,0.001,0.005,0.02", "interference activity factors to sweep");
+  cli.add_flag("ues", "800", dmra::Cli::whole(0), "number of UEs");
+  cli.add_flag("seeds", "5", dmra::Cli::whole(1), "seeds per configuration");
+  cli.add_flag("activity", "0,0.001,0.005,0.02", dmra::Cli::number(0).as_list(),
+               "interference activity factors to sweep");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
   dmra_bench::add_fault_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
-  const auto num_ues = static_cast<std::size_t>(cli.get_int("ues"));
-  const auto seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  cli.parse_or_exit(argc, argv);
+  const std::size_t num_ues = cli.get_size("ues");
+  const auto seeds = dmra::default_seeds(cli.get_size("seeds"));
   dmra_bench::ObsSession obs_session(cli, argv[0]);
-  const std::size_t jobs = dmra_bench::jobs_from(cli);
+  const std::size_t jobs = cli.get_size("jobs");
   dmra::ScenarioConfig base_cfg = dmra_bench::paper_config();
   base_cfg.num_ues = num_ues;
   obs_session.describe_scenario(base_cfg);

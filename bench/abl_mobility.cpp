@@ -20,32 +20,23 @@ struct SeedValues {
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("speeds", "0,1,5,15,30",
+  cli.add_flag("speeds", "0,1,5,15,30", dmra::Cli::number(0).as_list(),
                "mean UE speeds (m/s) to sweep, each drawn from [0.5x, 1.5x]; 0 = static");
-  cli.add_flag("ues", "600", "number of UEs");
-  cli.add_flag("steps", "12", "waypoint moves per UE");
-  cli.add_flag("dt", "2", "mean seconds between one UE's moves");
-  cli.add_flag("seeds", "5", "seeds per configuration");
+  cli.add_flag("ues", "600", dmra::Cli::whole(1), "number of UEs");
+  cli.add_flag("steps", "12", dmra::Cli::whole(0), "waypoint moves per UE");
+  cli.add_flag("dt", "2", dmra::Cli::number(0), "mean seconds between one UE's moves");
+  cli.add_flag("seeds", "5", dmra::Cli::whole(1), "seeds per configuration");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
   dmra_bench::add_fault_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
-  const std::vector<double> speeds = dmra_bench::checked_list(cli, "speeds", 0.0);
-  const auto ues = static_cast<std::size_t>(dmra_bench::checked_flag(cli, "ues", 1.0, true));
-  const auto steps = static_cast<std::size_t>(dmra_bench::checked_flag(cli, "steps", 0.0, true));
-  const double dt = dmra_bench::checked_flag(cli, "dt", 0.0);
-  const auto seeds = dmra::default_seeds(
-      static_cast<std::size_t>(dmra_bench::checked_flag(cli, "seeds", 1.0, true)));
+  cli.parse_or_exit(argc, argv);
+  const std::vector<double> speeds = cli.get_double_list("speeds");
+  const std::size_t ues = cli.get_size("ues");
+  const std::size_t steps = cli.get_size("steps");
+  const double dt = cli.get_double("dt");
+  const auto seeds = dmra::default_seeds(cli.get_size("seeds"));
   dmra_bench::ObsSession obs_session(cli, argv[0]);
-  const std::size_t jobs = dmra_bench::jobs_from(cli);
+  const std::size_t jobs = cli.get_size("jobs");
   obs_session.describe_scenario(dmra_bench::paper_config());
   obs_session.describe_run(seeds, jobs);
   // Serving faults: crashes and degradations on the event timeline.

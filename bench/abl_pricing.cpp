@@ -8,32 +8,25 @@
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("ues", "1100", "number of UEs (overloaded on purpose)");
-  cli.add_flag("rounds", "12", "pricing adaptation rounds");
-  cli.add_flag("target", "0.75", "target RRB utilization");
-  cli.add_flag("seed", "3", "scenario seed");
+  cli.add_flag("ues", "1100", dmra::Cli::whole(0), "number of UEs (overloaded on purpose)");
+  cli.add_flag("rounds", "12", dmra::Cli::whole(1), "pricing adaptation rounds");
+  cli.add_flag("target", "0.75", dmra::Cli::number_above(0).at_most(1),
+               "target RRB utilization");
+  cli.add_flag("seed", "3", dmra::Cli::whole(0), "scenario seed");
   // Accepted for interface uniformity with the other benches; this
   // single-seed study has no replication axis to fan out, so it is inert.
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
   dmra_bench::add_fault_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
+  cli.parse_or_exit(argc, argv);
   dmra_bench::ObsSession obs_session(cli, argv[0]);
 
   dmra::AdaptivePricingConfig cfg;
-  cfg.scenario.num_ues = static_cast<std::size_t>(cli.get_int("ues"));
+  cfg.scenario.num_ues = cli.get_size("ues");
   cfg.scenario.ue_distribution = dmra::UeDistribution::kHotspots;  // imbalance to fix
-  cfg.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+  cfg.rounds = cli.get_size("rounds");
   cfg.target_utilization = cli.get_double("target");
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  cfg.seed = cli.get_size("seed");
   obs_session.describe_scenario(cfg.scenario);
   obs_session.describe_run({cfg.seed}, 1);
 

@@ -7,23 +7,15 @@
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("ues", "600,1200", "UE counts to sweep");
-  cli.add_flag("seeds", "5", "seeds per configuration");
+  cli.add_flag("ues", "600,1200", dmra::Cli::whole(1).as_list(), "UE counts to sweep");
+  cli.add_flag("seeds", "5", dmra::Cli::whole(1), "seeds per configuration");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
   dmra_bench::add_fault_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
-  const auto seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  cli.parse_or_exit(argc, argv);
+  const auto seeds = dmra::default_seeds(cli.get_size("seeds"));
   dmra_bench::ObsSession obs_session(cli, argv[0]);
-  const std::size_t jobs = dmra_bench::jobs_from(cli);
+  const std::size_t jobs = cli.get_size("jobs");
   obs_session.describe_scenario(dmra_bench::paper_config());
   obs_session.describe_run(seeds, jobs);
   const auto faults = dmra_bench::faults_from(cli);

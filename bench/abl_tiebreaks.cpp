@@ -12,21 +12,13 @@
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("ues", "800,1000", "UE counts to sweep");
-  cli.add_flag("seeds", "10", "seeds per configuration");
-  cli.add_flag("rho", "100", "baseline rho");
+  cli.add_flag("ues", "800,1000", dmra::Cli::whole(0).as_list(), "UE counts to sweep");
+  cli.add_flag("seeds", "10", dmra::Cli::whole(1), "seeds per configuration");
+  cli.add_flag("rho", "100", dmra::Cli::number(0), "baseline rho");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
   dmra_bench::add_fault_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
+  cli.parse_or_exit(argc, argv);
   const double rho = cli.get_double("rho");
 
   struct Variant {
@@ -41,9 +33,9 @@ int main(int argc, char** argv) {
       {"price-only (rho=0)", dmra::DmraConfig{.rho = 0.0}},
   };
 
-  const auto seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  const auto seeds = dmra::default_seeds(cli.get_size("seeds"));
   dmra_bench::ObsSession obs_session(cli, argv[0]);
-  const std::size_t jobs = dmra_bench::jobs_from(cli);
+  const std::size_t jobs = cli.get_size("jobs");
   obs_session.describe_scenario(dmra_bench::paper_config());
   obs_session.describe_run(seeds, jobs);
   const auto faults = dmra_bench::faults_from(cli);

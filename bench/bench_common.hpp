@@ -2,9 +2,7 @@
 // the paper's algorithm roster, and result printing.
 #pragma once
 
-#include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -28,67 +26,8 @@ inline dmra::ScenarioConfig paper_config() { return dmra::ScenarioConfig{}; }
 /// fan-out (0 = hardware concurrency, 1 = serial). Results are identical
 /// for every value — parallelism only changes wall-clock.
 inline void add_jobs_flag(dmra::Cli& cli) {
-  cli.add_flag("jobs", "0",
+  cli.add_flag("jobs", "0", dmra::Cli::whole(0),
                "worker threads for per-seed replication (0 = hardware concurrency)");
-}
-
-/// The comma-separated numbers of a numeric flag, each finite and at
-/// least `min` (and whole when `whole`). Anything else — text, NaN, a
-/// negative count that would wrap a std::size_t — exits 1 with an error
-/// naming the flag, so a typo never reaches a DMRA_REQUIRE or a silent
-/// default. Whole numbers must also stay below 2^53, where doubles stop
-/// being exact, so casting one to std::size_t is always defined.
-inline std::vector<double> checked_list(const dmra::Cli& cli, const std::string& name,
-                                        double min, bool whole = false) {
-  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
-  const std::string text = cli.get_string(name);
-  std::vector<double> values;
-  bool ok = true;
-  for (std::size_t pos = 0; ok && pos <= text.size();) {
-    const std::size_t comma = std::min(text.find(',', pos), text.size());
-    const std::string item = text.substr(pos, comma - pos);
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    ok = !item.empty() && *end == '\0' && std::isfinite(v) && v >= min &&
-         (!whole || (v == std::floor(v) && v < kExactLimit));
-    values.push_back(v);
-    pos = comma + 1;
-  }
-  if (!ok) {
-    std::cerr << "error: --" << name << " takes " << (whole ? "whole" : "finite")
-              << " numbers >= " << min << ", got '" << text << "'\n";
-    std::exit(1);
-  }
-  return values;
-}
-
-/// checked_list for a flag that takes exactly one number.
-inline double checked_flag(const dmra::Cli& cli, const std::string& name, double min,
-                           bool whole = false) {
-  const std::vector<double> values = checked_list(cli, name, min, whole);
-  if (values.size() != 1) {
-    std::cerr << "error: --" << name << " takes one number, got '"
-              << cli.get_string(name) << "'\n";
-    std::exit(1);
-  }
-  return values[0];
-}
-
-/// A yes/no flag: true/1/yes or false/0/no. Anything else exits 1 with an
-/// error naming the flag, like checked_list.
-inline bool checked_bool(const dmra::Cli& cli, const std::string& name) {
-  const std::string text = cli.get_string(name);
-  if (text == "true" || text == "1" || text == "yes") return true;
-  if (text == "false" || text == "0" || text == "no") return false;
-  std::cerr << "error: --" << name << " takes true/false, 1/0 or yes/no, got '" << text
-            << "'\n";
-  std::exit(1);
-}
-
-/// The --jobs value as run_experiment / parallel_map expect it: a whole
-/// number >= 0 (0 = hardware concurrency); anything else exits 1.
-inline std::size_t jobs_from(const dmra::Cli& cli) {
-  return static_cast<std::size_t>(checked_flag(cli, "jobs", 0.0, /*whole=*/true));
 }
 
 /// Every bench takes --trace / --round-csv / --manifest: observability
@@ -97,19 +36,20 @@ inline std::size_t jobs_from(const dmra::Cli& cli) {
 /// instrumented code paths. All three are jobs-invariant: a traced
 /// --jobs=8 run writes byte-identical files to --jobs=1 (obs/shard.hpp).
 inline void add_obs_flags(dmra::Cli& cli) {
-  cli.add_flag("trace", "", "write a Chrome trace-event JSON of the run to this path");
-  cli.add_flag("round-csv", "", "write per-round aggregate metrics as CSV to this path");
-  cli.add_flag("manifest", "",
+  const dmra::Cli::Kind text = dmra::Cli::text();
+  cli.add_flag("trace", "", text, "write a Chrome trace-event JSON of the run to this path");
+  cli.add_flag("round-csv", "", text, "write per-round aggregate metrics as CSV to this path");
+  cli.add_flag("manifest", "", text,
                "write a dmra-manifest/1 run-provenance JSON to this path");
-  cli.add_flag("metrics-out", "",
+  cli.add_flag("metrics-out", "", text,
                "write a Prometheus text exposition of the run's metrics "
                "(flight + trace registries) to this path");
-  cli.add_flag("metrics-window", "0",
+  cli.add_flag("metrics-window", "0", dmra::Cli::whole(0),
                "fixed-window metrics rollup length in logical rounds/events "
                "(0 = windowing off; docs/OBSERVABILITY.md)");
-  cli.add_flag("postmortem", "",
+  cli.add_flag("postmortem", "", text,
                "write the dmra-postmortem/1 flight-recorder dump to this path");
-  cli.add_flag("dump-on", "",
+  cli.add_flag("dump-on", "", text,
                "explicit flight-recorder trigger predicate, e.g. \"round=200\"");
 }
 
@@ -223,8 +163,8 @@ class ObsSession {
  private:
   static dmra::obs::FlightRecorder::Config flight_config(const dmra::Cli& cli) {
     dmra::obs::FlightRecorder::Config config;
-    const std::int64_t window = cli.get_int("metrics-window");
-    if (window > 0) config.window_len = static_cast<std::uint64_t>(window);
+    const std::size_t window = cli.get_size("metrics-window");
+    if (window > 0) config.window_len = window;
     return config;
   }
 
@@ -292,7 +232,7 @@ class ObsSession {
 /// default) = the fault-free direct solver, byte-identical to before the
 /// flag existed.
 inline void add_fault_flags(dmra::Cli& cli) {
-  cli.add_flag("faults", "",
+  cli.add_flag("faults", "", dmra::Cli::text(),
                "run DMRA decentralized under a fault spec, e.g. "
                "\"loss=0.1,crashes=2,seed=7\" (docs/RESILIENCE.md)");
 }

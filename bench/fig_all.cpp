@@ -78,25 +78,18 @@ void write_file(const std::filesystem::path& path, const std::string& content) {
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("out", "results", "output directory for .dat/.gp/.csv artifacts");
-  cli.add_flag("seeds", "10", "seeds per sweep point");
+  cli.add_flag("out", "results", dmra::Cli::text(),
+               "output directory for .dat/.gp/.csv artifacts");
+  cli.add_flag("seeds", "10", dmra::Cli::whole(1), "seeds per sweep point");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
   dmra_bench::add_fault_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
+  cli.parse_or_exit(argc, argv);
   const std::filesystem::path out_dir = cli.get_string("out");
   std::filesystem::create_directories(out_dir);
-  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
+  const std::size_t seeds = cli.get_size("seeds");
   dmra_bench::ObsSession obs_session(cli, argv[0]);
-  const std::size_t jobs = dmra_bench::jobs_from(cli);
+  const std::size_t jobs = cli.get_size("jobs");
   const auto faults = dmra_bench::faults_from(cli);
   obs_session.describe_scenario(dmra_bench::paper_config());
   obs_session.describe_run(dmra::default_seeds(seeds), jobs);

@@ -22,27 +22,20 @@ constexpr double kIota = (DMRA_FIG <= 3) ? 2.0 : 1.1;
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("ues", "400,500,600,700,800,900", "UE counts to sweep");
-  cli.add_flag("seeds", "10", "number of scenario seeds per point");
-  cli.add_flag("rho", "100", "DMRA preference weight (Eq. 17)");
-  cli.add_flag("csv", "false", "also print the table as CSV");
-  cli.add_flag("out", "", "write the series as CSV to this path");
+  cli.add_flag("ues", "400,500,600,700,800,900", dmra::Cli::whole(0).as_list(),
+               "UE counts to sweep");
+  cli.add_flag("seeds", "10", dmra::Cli::whole(1), "number of scenario seeds per point");
+  cli.add_flag("rho", "100", dmra::Cli::number(0), "DMRA preference weight (Eq. 17)");
+  cli.add_flag("csv", "false", dmra::Cli::yes_no(), "also print the table as CSV");
+  cli.add_flag("out", "", dmra::Cli::text(), "write the series as CSV to this path");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
   dmra_bench::add_fault_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
+  cli.parse_or_exit(argc, argv);
 
   const dmra::DmraConfig dmra_cfg{.rho = cli.get_double("rho")};
   const auto faults = dmra_bench::faults_from(cli);
-  const bool csv = dmra_bench::checked_bool(cli, "csv");
+  const bool csv = cli.get_bool("csv");
 
   dmra::ExperimentSpec spec;
   spec.title = "Fig. " + std::to_string(DMRA_FIG) + ": total profit of SPs vs. number of UEs"
@@ -50,7 +43,7 @@ int main(int argc, char** argv) {
                (kRegular ? "regular" : "random") + " BS placement)";
   spec.x_label = "UEs";
   spec.xs = cli.get_double_list("ues");
-  spec.seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  spec.seeds = dmra::default_seeds(cli.get_size("seeds"));
   spec.make_config = [](double x) {
     dmra::ScenarioConfig cfg = dmra_bench::paper_config();
     cfg.num_ues = static_cast<std::size_t>(x);
@@ -63,8 +56,8 @@ int main(int argc, char** argv) {
     return dmra_bench::paper_allocators(dmra_cfg, faults);
   };
   dmra_bench::ObsSession obs_session(cli, argv[0]);
-  spec.jobs = dmra_bench::jobs_from(cli);
-  if (!spec.xs.empty()) obs_session.describe_scenario(spec.make_config(spec.xs.front()));
+  spec.jobs = cli.get_size("jobs");
+  obs_session.describe_scenario(spec.make_config(spec.xs.front()));
   obs_session.describe_run(spec.seeds, spec.jobs);
   const std::string out_path = cli.get_string("out");
   if (!out_path.empty()) obs_session.note_output("series-csv", out_path);

@@ -21,26 +21,19 @@ constexpr double kIota = kProfit ? 2.0 : 1.1;
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("rho", "0,50,100,150,200,300,400", "rho values to sweep");
-  cli.add_flag("ues", "1000", "number of UEs");
-  cli.add_flag("seeds", "10", "number of scenario seeds per point");
-  cli.add_flag("csv", "false", "also print the table as CSV");
-  cli.add_flag("out", "", "write the series as CSV to this path");
+  cli.add_flag("rho", "0,50,100,150,200,300,400", dmra::Cli::number(0).as_list(),
+               "rho values to sweep");
+  cli.add_flag("ues", "1000", dmra::Cli::whole(0), "number of UEs");
+  cli.add_flag("seeds", "10", dmra::Cli::whole(1), "number of scenario seeds per point");
+  cli.add_flag("csv", "false", dmra::Cli::yes_no(), "also print the table as CSV");
+  cli.add_flag("out", "", dmra::Cli::text(), "write the series as CSV to this path");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
   dmra_bench::add_fault_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
-  const auto num_ues = static_cast<std::size_t>(cli.get_int("ues"));
+  cli.parse_or_exit(argc, argv);
+  const std::size_t num_ues = cli.get_size("ues");
   const auto faults = dmra_bench::faults_from(cli);
-  const bool csv = dmra_bench::checked_bool(cli, "csv");
+  const bool csv = cli.get_bool("csv");
 
   dmra::ExperimentSpec spec;
   spec.title = kProfit
@@ -49,7 +42,7 @@ int main(int argc, char** argv) {
                          "Fig. 7: total forwarded traffic load vs. rho (iota=1.1, 1000 UEs)");
   spec.x_label = "rho";
   spec.xs = cli.get_double_list("rho");
-  spec.seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  spec.seeds = dmra::default_seeds(cli.get_size("seeds"));
   spec.metric_label = kProfit ? "total profit" : "forwarded traffic (Mbps)";
   spec.metric = [](const dmra::RunMetrics& m) {
     return kProfit ? m.total_profit : m.forwarded_traffic_mbps;
@@ -67,8 +60,8 @@ int main(int argc, char** argv) {
     return algos;
   };
   dmra_bench::ObsSession obs_session(cli, argv[0]);
-  spec.jobs = dmra_bench::jobs_from(cli);
-  if (!spec.xs.empty()) obs_session.describe_scenario(spec.make_config(spec.xs.front()));
+  spec.jobs = cli.get_size("jobs");
+  obs_session.describe_scenario(spec.make_config(spec.xs.front()));
   obs_session.describe_run(spec.seeds, spec.jobs);
   const std::string out_path = cli.get_string("out");
   if (!out_path.empty()) obs_session.note_output("series-csv", out_path);

@@ -64,26 +64,19 @@ dmra::ScenarioConfig config_at(std::size_t ues) {
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("out", "BENCH_core.json", "output path for the JSON report");
-  cli.add_flag("quick", "false", "CI smoke mode: fewer reps, smaller scales");
-  cli.add_flag("reps", "0", "timed repetitions per probe (0 = 5, or 2 with --quick)");
+  cli.add_flag("out", "BENCH_core.json", dmra::Cli::text(), "output path for the JSON report");
+  cli.add_flag("quick", "false", dmra::Cli::yes_no(),
+               "CI smoke mode: fewer reps, smaller scales");
+  cli.add_flag("reps", "0", dmra::Cli::whole(0),
+               "timed repetitions per probe (0 = 5, or 2 with --quick)");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
+  cli.parse_or_exit(argc, argv);
   dmra::allocprobe::install();  // count heap allocations in the probes below
-  const bool quick = dmra_bench::checked_bool(cli, "quick");
-  const auto reps_flag =
-      static_cast<std::size_t>(dmra_bench::checked_flag(cli, "reps", 0.0, /*whole=*/true));
+  const bool quick = cli.get_bool("quick");
+  const std::size_t reps_flag = cli.get_size("reps");
   const std::size_t reps = reps_flag > 0 ? reps_flag : (quick ? 2 : 5);
-  const std::size_t jobs = dmra_bench::jobs_from(cli);
+  const std::size_t jobs = cli.get_size("jobs");
   dmra_bench::ObsSession obs_session(cli, argv[0]);
   const std::vector<std::size_t> scales =
       quick ? std::vector<std::size_t>{250, 500, 1000}

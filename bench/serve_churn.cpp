@@ -103,71 +103,59 @@ bool write_file(const std::string& path, const std::string& content) {
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("rate", "20", "Poisson UE arrival rate, arrivals per second");
-  cli.add_flag("dwell", "100", "mean UE dwell time, seconds (exponential)");
-  cli.add_flag("move-every", "0",
+  cli.add_flag("rate", "20", dmra::Cli::number(0),
+               "Poisson UE arrival rate, arrivals per second");
+  cli.add_flag("dwell", "100", dmra::Cli::number(0),
+               "mean UE dwell time, seconds (exponential)");
+  cli.add_flag("move-every", "0", dmra::Cli::number(0),
                "mean seconds between waypoint re-associations per UE (0 = static)");
-  cli.add_flag("horizon", "10000", "events to apply before stopping");
-  cli.add_flag("prefill", "-1",
+  cli.add_flag("horizon", "10000", dmra::Cli::whole(0), "events to apply before stopping");
+  cli.add_flag("prefill", "-1", dmra::Cli::whole(-1),
                "UEs admitted at t=0 (-1 = the rate*dwell steady-state target)");
-  cli.add_flag("resolve-every", "1000",
+  cli.add_flag("resolve-every", "1000", dmra::Cli::whole(0),
                "events between from-scratch re-solve baselines (0 = off)");
-  cli.add_flag("readmit-every", "64",
+  cli.add_flag("readmit-every", "64", dmra::Cli::whole(0),
                "events between cloud-dweller readmission sweeps (0 = off)");
-  cli.add_flag("recovery-batch", "4", "crash-orphan re-placement attempts per event");
-  cli.add_flag("regions", "4", "partition_regions() classes for coverage accounting");
-  cli.add_flag("seeds", "4", "number of replication seeds");
-  cli.add_flag("rho", "100", "DMRA preference weight ρ (Eq. 17)");
-  cli.add_flag("slo-p99-us", "0",
+  cli.add_flag("recovery-batch", "4", dmra::Cli::whole(0),
+               "crash-orphan re-placement attempts per event");
+  cli.add_flag("regions", "4", dmra::Cli::whole(1),
+               "partition_regions() classes for coverage accounting");
+  cli.add_flag("seeds", "4", dmra::Cli::whole(1), "number of replication seeds");
+  cli.add_flag("rho", "100", dmra::Cli::number(0), "DMRA preference weight ρ (Eq. 17)");
+  cli.add_flag("slo-p99-us", "0", dmra::Cli::whole(0),
                "per-decision p99 latency objective in microseconds (0 = SLO "
                "tracking off); a breached window triggers the flight recorder");
-  cli.add_flag("slo-window", "256", "applied events per SLO evaluation window");
-  cli.add_flag("out", "", "write the per-seed serving CSV to this path");
-  cli.add_flag("event-log", "",
+  cli.add_flag("slo-window", "256", dmra::Cli::whole(1),
+               "applied events per SLO evaluation window");
+  cli.add_flag("out", "", dmra::Cli::text(), "write the per-seed serving CSV to this path");
+  cli.add_flag("event-log", "", dmra::Cli::text(),
                "write the deterministic event logs (all seeds, in seed order)");
-  cli.add_flag("latency-csv", "",
+  cli.add_flag("latency-csv", "", dmra::Cli::text(),
                "write the merged decision-latency histogram (wall clock)");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
   dmra_bench::add_fault_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
+  cli.parse_or_exit(argc, argv);
 
-  const auto count = [&](const char* name, double min = 0.0) {
-    return static_cast<std::size_t>(dmra_bench::checked_flag(cli, name, min, true));
-  };
   dmra::ChurnConfig base;
   base.deployment = dmra_bench::paper_config();
-  base.arrival_rate_hz = dmra_bench::checked_flag(cli, "rate", 0.0);
-  base.mean_dwell_s = dmra_bench::checked_flag(cli, "dwell", 0.0);
-  base.mean_move_interval_s = dmra_bench::checked_flag(cli, "move-every", 0.0);
-  base.horizon_events = count("horizon");
-  base.resolve_every = count("resolve-every");
-  base.readmit_every = count("readmit-every");
-  base.recovery_batch = count("recovery-batch");
-  base.regions = count("regions", 1.0);
-  base.incremental.dmra.rho = dmra_bench::checked_flag(cli, "rho", 0.0);
-  const double prefill = dmra_bench::checked_flag(cli, "prefill", -1.0, true);
-  base.slo_p99_ns =
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, cli.get_int("slo-p99-us"))) *
-      1000u;
-  base.slo_window_events =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("slo-window")));
+  base.arrival_rate_hz = cli.get_double("rate");
+  base.mean_dwell_s = cli.get_double("dwell");
+  base.mean_move_interval_s = cli.get_double("move-every");
+  base.horizon_events = cli.get_size("horizon");
+  base.resolve_every = cli.get_size("resolve-every");
+  base.readmit_every = cli.get_size("readmit-every");
+  base.recovery_batch = cli.get_size("recovery-batch");
+  base.regions = cli.get_size("regions");
+  base.incremental.dmra.rho = cli.get_double("rho");
+  base.slo_p99_ns = cli.get_size("slo-p99-us") * 1000u;
+  base.slo_window_events = cli.get_size("slo-window");
   base.faults = dmra_bench::faults_from(cli);
-  base.prefill = prefill < 0.0 ? base.steady_state_target() : static_cast<std::size_t>(prefill);
+  const std::int64_t prefill = cli.get_int("prefill");
+  base.prefill = prefill < 0 ? base.steady_state_target() : static_cast<std::size_t>(prefill);
 
-  const std::size_t num_seeds =
-      std::max<std::int64_t>(1, cli.get_int("seeds"));
-  const std::vector<std::uint64_t> seeds =
-      dmra::default_seeds(static_cast<std::size_t>(num_seeds));
-  const std::size_t jobs = dmra_bench::jobs_from(cli);
+  const std::vector<std::uint64_t> seeds = dmra::default_seeds(cli.get_size("seeds"));
+  const std::size_t jobs = cli.get_size("jobs");
 
   dmra_bench::ObsSession obs_session(cli, argv[0]);
   obs_session.describe_scenario(base.deployment);

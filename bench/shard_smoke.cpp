@@ -9,9 +9,8 @@
 // the shard/boundary accounting; exits 1 when the gap exceeds
 // --max-gap (a fraction: 0.05 = sharding may cost at most 5% of the
 // oracle's profit), or when the sharded allocation is infeasible, and
-// with an error naming the flag when a number is malformed (--ues and
-// --shards take whole numbers >= 1, --seed a whole number >= 0, --max-gap
-// a finite number >= 0). CI runs this at 2 and 4 shards (see
+// with an error naming the flag when a value is out of its range (--help
+// lists them). CI runs this at 2 and 4 shards (see
 // .github/workflows/ci.yml); at 8 shards on 3000 UEs, where every UE is a
 // boundary UE and the reconcile pass alone must reach the oracle's
 // profit; and once more traced at --jobs=1 and --jobs=4 to prove the
@@ -32,31 +31,20 @@
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("ues", "20000", "number of UEs in the generated scenario");
-  cli.add_flag("shards", "4", "region count for the sharded runtime");
-  cli.add_flag("seed", "1", "scenario generation seed");
-  cli.add_flag("max-gap", "0.05",
+  cli.add_flag("ues", "20000", dmra::Cli::whole(1), "number of UEs in the generated scenario");
+  cli.add_flag("shards", "4", dmra::Cli::whole(1), "region count for the sharded runtime");
+  cli.add_flag("seed", "1", dmra::Cli::whole(0), "scenario generation seed");
+  cli.add_flag("max-gap", "0.05", dmra::Cli::number(0),
                "largest tolerated relative profit gap vs the oracle");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 2;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
-  // A malformed number exits 1 naming the flag, before any work: a NaN
-  // bound would pass every gap, and a negative count would wrap.
-  const auto ues = static_cast<std::size_t>(dmra_bench::checked_flag(cli, "ues", 1.0, true));
-  const auto shards =
-      static_cast<std::size_t>(dmra_bench::checked_flag(cli, "shards", 1.0, true));
-  const auto seed = static_cast<std::uint64_t>(dmra_bench::checked_flag(cli, "seed", 0.0, true));
-  const double max_gap = dmra_bench::checked_flag(cli, "max-gap", 0.0);
+  cli.parse_or_exit(argc, argv);
+  const std::size_t ues = cli.get_size("ues");
+  const std::size_t shards = cli.get_size("shards");
+  const std::uint64_t seed = cli.get_size("seed");
+  const double max_gap = cli.get_double("max-gap");
   dmra_bench::ObsSession obs_session(cli, argv[0]);
-  const std::size_t jobs = dmra_bench::jobs_from(cli);
+  const std::size_t jobs = cli.get_size("jobs");
 
   dmra::ScenarioConfig cfg = dmra_bench::paper_config();
   cfg.num_ues = ues;

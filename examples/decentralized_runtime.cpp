@@ -11,18 +11,10 @@
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("seed", "3", "scenario seed");
-  cli.add_flag("rho", "100", "DMRA preference weight");
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  cli.add_flag("seed", "3", dmra::Cli::whole(0), "scenario seed");
+  cli.add_flag("rho", "100", dmra::Cli::number(0), "DMRA preference weight");
+  cli.parse_or_exit(argc, argv);
+  const std::uint64_t seed = cli.get_size("seed");
   const dmra::DmraConfig dmra_cfg{.rho = cli.get_double("rho")};
 
   std::cout << "Decentralized DMRA protocol cost vs deployment size\n\n";

@@ -28,21 +28,13 @@ void show(const char* title, const dmra::ScenarioConfig& cfg, std::uint64_t seed
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("ues", "900", "number of UEs");
-  cli.add_flag("seed", "4", "scenario seed");
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  cli.add_flag("ues", "900", dmra::Cli::whole(0), "number of UEs");
+  cli.add_flag("seed", "4", dmra::Cli::whole(0), "scenario seed");
+  cli.parse_or_exit(argc, argv);
+  const std::uint64_t seed = cli.get_size("seed");
 
   dmra::ScenarioConfig uniform;
-  uniform.num_ues = static_cast<std::size_t>(cli.get_int("ues"));
+  uniform.num_ues = cli.get_size("ues");
   show("uniform population (paper setup)", uniform, seed);
 
   dmra::ScenarioConfig hotspots = uniform;

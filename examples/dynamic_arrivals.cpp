@@ -15,30 +15,25 @@
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("rate", "8", "Poisson UE arrival rate, arrivals per second");
-  cli.add_flag("dwell", "100", "mean UE dwell time, seconds (exponential)");
-  cli.add_flag("horizon", "3000", "events to apply (the steady-state prefill counts)");
-  cli.add_flag("move-every", "0",
+  cli.add_flag("rate", "8", dmra::Cli::number(0),
+               "Poisson UE arrival rate, arrivals per second");
+  cli.add_flag("dwell", "100", dmra::Cli::number(0),
+               "mean UE dwell time, seconds (exponential)");
+  cli.add_flag("horizon", "3000", dmra::Cli::whole(0),
+               "events to apply (the steady-state prefill counts)");
+  cli.add_flag("move-every", "0", dmra::Cli::number(0),
                "mean seconds between waypoint moves per UE (0 = static UEs)");
-  cli.add_flag("seed", "11", "simulation seed");
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
+  cli.add_flag("seed", "11", dmra::Cli::whole(0), "simulation seed");
+  cli.parse_or_exit(argc, argv);
 
   dmra::ChurnConfig cfg;
   cfg.arrival_rate_hz = cli.get_double("rate");
   cfg.mean_dwell_s = cli.get_double("dwell");
   cfg.mean_move_interval_s = cli.get_double("move-every");
   cfg.prefill = cfg.steady_state_target();
-  cfg.horizon_events = static_cast<std::size_t>(cli.get_int("horizon"));
+  cfg.horizon_events = cli.get_size("horizon");
   cfg.resolve_every = cfg.horizon_events;  // one DMRA re-solve, at the end
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  cfg.seed = cli.get_size("seed");
 
   const dmra::DcspAllocator dcsp;
   const dmra::NonCoAllocator nonco;

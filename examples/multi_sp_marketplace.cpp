@@ -20,19 +20,11 @@ dmra::Scenario make_scenario(std::size_t ues, double iota, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("ues", "900", "number of UEs");
-  cli.add_flag("seed", "7", "scenario seed");
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
-  const auto ues = static_cast<std::size_t>(cli.get_int("ues"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  cli.add_flag("ues", "900", dmra::Cli::whole(0), "number of UEs");
+  cli.add_flag("seed", "7", dmra::Cli::whole(0), "scenario seed");
+  cli.parse_or_exit(argc, argv);
+  const std::size_t ues = cli.get_size("ues");
+  const std::uint64_t seed = cli.get_size("seed");
 
   // --- Part 1: per-SP ledger at the paper's ι = 2 --------------------------
   const dmra::Scenario scenario = make_scenario(ues, 2.0, seed);

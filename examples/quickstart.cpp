@@ -9,26 +9,18 @@
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
-  cli.add_flag("ues", "800", "number of UEs requesting offloading");
-  cli.add_flag("seed", "42", "scenario seed");
-  cli.add_flag("rho", "100", "DMRA preference weight (Eq. 17)");
-  cli.add_flag("iota", "2", "cross-SP price markup (Eq. 10)");
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << "\n" << cli.help_text(argv[0]);
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text(argv[0]);
-    return 0;
-  }
+  cli.add_flag("ues", "800", dmra::Cli::whole(0), "number of UEs requesting offloading");
+  cli.add_flag("seed", "42", dmra::Cli::whole(0), "scenario seed");
+  cli.add_flag("rho", "100", dmra::Cli::number(0), "DMRA preference weight (Eq. 17)");
+  cli.add_flag("iota", "2", dmra::Cli::number_above(1), "cross-SP price markup (Eq. 10)");
+  cli.parse_or_exit(argc, argv);
 
   // 1. A scenario with the paper's §VI-A defaults: 5 SPs × 5 BSs on a
   //    300 m grid, 6 services, U{100..150} CRUs per (BS, service).
   dmra::ScenarioConfig cfg;
-  cfg.num_ues = static_cast<std::size_t>(cli.get_int("ues"));
+  cfg.num_ues = cli.get_size("ues");
   cfg.pricing.iota = cli.get_double("iota");
-  const dmra::Scenario scenario = dmra::generate_scenario(cfg, cli.get_int("seed"));
+  const dmra::Scenario scenario = dmra::generate_scenario(cfg, cli.get_size("seed"));
 
   std::cout << "scenario: " << scenario.num_sps() << " SPs, " << scenario.num_bss()
             << " BSs, " << scenario.num_ues() << " UEs, " << scenario.num_services()

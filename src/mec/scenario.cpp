@@ -42,8 +42,12 @@ class BsGrid {
   }
 
  private:
+  /// Clamped in floating point so the cast, and `cell + 1` in
+  /// neighbors(), stay in range for any finite position; positions past
+  /// the clamp share edge cells, which only costs distance checks.
   std::int64_t cell(double v) const {
-    return static_cast<std::int64_t>(std::floor(v / cell_m_));
+    constexpr double kMaxCell = 4294967296.0;  // 2^32
+    return static_cast<std::int64_t>(std::clamp(std::floor(v / cell_m_), -kMaxCell, kMaxCell));
   }
   static std::uint64_t key(std::int64_t cx, std::int64_t cy) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
@@ -78,6 +82,9 @@ void Scenario::validate() const {
     DMRA_REQUIRE_MSG(b.sp.idx() < data_.sps.size(), "BS references unknown SP");
     DMRA_REQUIRE_MSG(b.cru_capacity.size() == data_.num_services,
                      "BS CRU capacity vector must cover every service");
+    DMRA_REQUIRE_MSG(std::isfinite(b.position.x) && std::isfinite(b.position.y),
+                     "BS position must be finite");
+    DMRA_REQUIRE_MSG(b.num_rrbs < kUnservableRrbs, "BS RRB count out of range");
     // num_rrbs == 0 is allowed: a radio-exhausted BS (e.g. in the residual
     // scenario a serving admission rule sees) simply can never be a
     // candidate.
@@ -86,6 +93,8 @@ void Scenario::validate() const {
   for (std::size_t u = 0; u < data_.ues.size(); ++u) {
     const UserEquipment& e = data_.ues[u];
     DMRA_REQUIRE_MSG(e.id.idx() == u, "UE ids must be contiguous 0..n-1");
+    DMRA_REQUIRE_MSG(std::isfinite(e.position.x) && std::isfinite(e.position.y),
+                     "UE position must be finite");
     DMRA_REQUIRE_MSG(e.sp.idx() < data_.sps.size(), "UE references unknown SP");
     DMRA_REQUIRE_MSG(e.service.idx() < data_.num_services, "UE requests unknown service");
     DMRA_REQUIRE_MSG(e.cru_demand > 0, "UE CRU demand must be positive");

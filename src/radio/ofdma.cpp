@@ -20,7 +20,8 @@ double rrb_rate_bps(double rrb_bandwidth_hz, double sinr_linear) {
 std::uint32_t rrbs_needed(double demand_bps, double rrb_rate) {
   DMRA_REQUIRE(demand_bps > 0.0);
   DMRA_REQUIRE(rrb_rate > 0.0);
-  return static_cast<std::uint32_t>(std::ceil(demand_bps / rrb_rate));
+  const double n = std::ceil(demand_bps / rrb_rate);
+  return n < kUnservableRrbs ? static_cast<std::uint32_t>(n) : kUnservableRrbs;
 }
 
 }  // namespace dmra

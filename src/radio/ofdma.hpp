@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace dmra {
 
@@ -22,8 +23,12 @@ struct OfdmaConfig {
 /// Eq. 2: achievable rate (bit/s) of one RRB at linear SINR `sinr_linear`.
 double rrb_rate_bps(double rrb_bandwidth_hz, double sinr_linear);
 
-/// Eq. 3: RRBs needed to carry `demand_bps` at per-RRB rate `rrb_rate`.
-/// Requires demand_bps > 0 and rrb_rate > 0.
+/// n(u,i) for a demand no BS can carry: more RRBs than any BS has
+/// (Scenario::validate keeps every BS's count below it).
+inline constexpr std::uint32_t kUnservableRrbs = std::numeric_limits<std::uint32_t>::max();
+
+/// Eq. 3: RRBs needed to carry `demand_bps` at per-RRB rate `rrb_rate`,
+/// saturating at kUnservableRrbs. Requires demand_bps > 0 and rrb_rate > 0.
 std::uint32_t rrbs_needed(double demand_bps, double rrb_rate);
 
 }  // namespace dmra

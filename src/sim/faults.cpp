@@ -22,9 +22,23 @@ double parse_double(const std::string& key, const std::string& value) {
   return out;
 }
 
+/// A probability: [0, 1), or [0, 1] when `one_ok` — the ranges
+/// FaultPlan::validate requires, checked here so a bad spec is an error
+/// rather than a contract violation.
+double parse_fraction(const std::string& key, const std::string& value, bool one_ok) {
+  const double p = parse_double(key, value);
+  if (!(p >= 0.0 && (one_ok ? p <= 1.0 : p < 1.0)))
+    throw std::invalid_argument("--faults: " + key + " takes a number >= 0 and " +
+                                (one_ok ? "<= 1" : "< 1") + ", got '" + value + "'");
+  return p;
+}
+
 std::uint64_t parse_uint(const std::string& key, const std::string& value) {
   std::size_t used = 0;
   unsigned long long out = 0;
+  // std::stoull accepts a sign and wraps "-1" to 2^64 - 1.
+  if (value.find('-') != std::string::npos)
+    throw std::invalid_argument("--faults: bad value for " + key + ": '" + value + "'");
   try {
     out = std::stoull(value, &used);
   } catch (const std::exception&) {
@@ -52,11 +66,11 @@ FaultSpec parse_fault_spec(const std::string& text) {
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
     if (key == "loss") {
-      spec.loss = parse_double(key, value);
+      spec.loss = parse_fraction(key, value, false);
     } else if (key == "dup") {
-      spec.duplicate = parse_double(key, value);
+      spec.duplicate = parse_fraction(key, value, false);
     } else if (key == "delay") {
-      spec.delay = parse_double(key, value);
+      spec.delay = parse_fraction(key, value, false);
     } else if (key == "delay-max") {
       spec.max_delay_rounds = static_cast<std::size_t>(parse_uint(key, value));
     } else if (key == "crashes") {
@@ -68,7 +82,7 @@ FaultSpec parse_fault_spec(const std::string& text) {
     } else if (key == "degrade") {
       spec.degradations = static_cast<std::size_t>(parse_uint(key, value));
     } else if (key == "degrade-factor") {
-      spec.degrade_factor = parse_double(key, value);
+      spec.degrade_factor = parse_fraction(key, value, true);
     } else if (key == "degrade-round") {
       spec.degrade_round = static_cast<std::size_t>(parse_uint(key, value));
     } else if (key == "seed") {
@@ -80,6 +94,8 @@ FaultSpec parse_fault_spec(const std::string& text) {
                                   "degrade-round seed)");
     }
   }
+  if (spec.delay > 0.0 && spec.max_delay_rounds == 0)
+    throw std::invalid_argument("--faults: delay needs delay-max >= 1");
   return spec;
 }
 

@@ -51,8 +51,10 @@ struct FaultSpec {
 ///   "loss=0.1,dup=0.02,delay=0.05,delay-max=3,crashes=2,crash-round=4,
 ///    down-rounds=8,degrade=1,degrade-factor=0.5,degrade-round=6,seed=7"
 /// Keys: loss, dup, delay, delay-max, crashes, crash-round, down-rounds,
-/// degrade, degrade-factor, degrade-round, seed. Unknown keys or
-/// malformed values throw std::invalid_argument with a message naming the
+/// degrade, degrade-factor, degrade-round, seed. Unknown keys, malformed
+/// values and values out of range (loss, dup and delay in [0, 1),
+/// degrade-factor in [0, 1], no negative count, delay-max >= 1 when
+/// delay > 0) throw std::invalid_argument with a message naming the
 /// offending token. The empty string parses to a no-fault spec.
 FaultSpec parse_fault_spec(const std::string& text);
 

@@ -50,9 +50,11 @@ bool JsonValue::has(const std::string& key) const {
 }
 
 std::int64_t JsonValue::as_int() const {
+  constexpr double kInt64Limit = 9223372036854775808.0;  // 2^63
   const double d = as_number();
   const double r = std::nearbyint(d);
   DMRA_REQUIRE_MSG(std::abs(d - r) < 1e-9, "JSON number is not integral");
+  DMRA_REQUIRE_MSG(r >= -kInt64Limit && r < kInt64Limit, "JSON number out of int64 range");
   return static_cast<std::int64_t>(r);
 }
 
@@ -254,6 +256,10 @@ class Parser {
     if (!end || *end != '\0') {
       pos_ = start;
       return fail("malformed number");
+    }
+    if (!std::isfinite(d)) {  // strtod's ERANGE overflow: "1e999" reads as inf
+      pos_ = start;
+      return fail("number out of range");
     }
     out = JsonValue(d);
     return true;

@@ -257,6 +257,13 @@ TEST(FaultInjection, FaultSpecParserRoundTrips) {
   EXPECT_THROW(parse_fault_spec("loss"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("mystery=1"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("loss=abc"), std::invalid_argument);
+  // Out-of-range values are spec errors, not FaultPlan::validate aborts.
+  for (const char* bad : {"loss=2", "loss=1", "loss=-0.1", "loss=nan", "dup=1", "delay=1.5",
+                          "degrade-factor=1.01", "degrade-factor=-1", "crashes=-1",
+                          "crash-round=-2", "delay=0.1,delay-max=0"})
+    EXPECT_THROW(parse_fault_spec(bad), std::invalid_argument) << bad;
+  EXPECT_DOUBLE_EQ(parse_fault_spec("degrade-factor=1").degrade_factor, 1.0);
+  EXPECT_DOUBLE_EQ(parse_fault_spec("loss=0").loss, 0.0);
 
   const FaultPlan plan = make_fault_plan(spec, /*num_bss=*/7);
   EXPECT_NO_THROW(plan.validate(7));

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "../test_util.hpp"
 #include "util/require.hpp"
@@ -69,8 +71,12 @@ TEST(Scenario, CandidatesRequireRadioFeasibility) {
   ms.add_bs(sp, {0.0, 0.0}, 100, /*rrbs=*/1);
   // 6 Mbit/s at 450 m needs 2 RRBs > budget of 1.
   ms.add_ue(sp, {450.0, 0.0}, ServiceId{0}, 4, 6e6);
+  // A demand no BS can carry saturates n(u,i) and is never a candidate.
+  ms.add_ue(sp, {10.0, 0.0}, ServiceId{0}, 4, 1e300);
   const Scenario s = ms.build();
   EXPECT_TRUE(s.candidates(UeId{0}).empty());
+  EXPECT_TRUE(s.candidates(UeId{1}).empty());
+  EXPECT_EQ(s.link(UeId{1}, BsId{0}).n_rrbs, kUnservableRrbs);
 }
 
 TEST(Scenario, SameSpAndPricing) {
@@ -137,6 +143,23 @@ TEST(ScenarioValidation, RejectsZeroCruDemand) {
   const SpId sp = ms.add_sp();
   ms.add_bs(sp, {0, 0});
   ms.add_ue(sp, {0, 0}, ServiceId{0}, /*cru_demand=*/0);
+  EXPECT_THROW(ms.build(), ContractViolation);
+}
+
+TEST(ScenarioValidation, RejectsNonFinitePositionsAndRrbCounts) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point bad : {Point{inf, 0.0}, Point{0.0, -inf}, Point{std::nan(""), 0.0}}) {
+    for (const bool on_bs : {true, false}) {
+      MiniScenario ms;
+      const SpId sp = ms.add_sp();
+      ms.add_bs(sp, on_bs ? bad : Point{0, 0});
+      ms.add_ue(sp, on_bs ? Point{0, 0} : bad, ServiceId{0});
+      EXPECT_THROW(ms.build(), ContractViolation);
+    }
+  }
+  MiniScenario ms;
+  const SpId sp = ms.add_sp();
+  ms.add_bs(sp, {0, 0}, 100, kUnservableRrbs);
   EXPECT_THROW(ms.build(), ContractViolation);
 }
 
@@ -209,6 +232,24 @@ TEST(ScenarioLinkBuild, SparseMatchesDenseAcrossRandomConfigs) {
     const Scenario sparse = generate_scenario(cfg, seed);
     expect_equivalent(dense, sparse, "trial " + std::to_string(trial));
   }
+}
+
+TEST(ScenarioLinkBuild, FarFinitePositionsStayInTheSparseGrid) {
+  // The sparse build hashes positions into coverage-radius cells; a UE
+  // 1e300 m out must land in a clamped edge cell, not an out-of-range
+  // integer, and the UEs in range must keep their candidates.
+  MiniScenario ms;
+  const SpId sp = ms.add_sp();
+  ms.add_bs(sp, {0.0, 0.0});
+  ms.add_ue(sp, {1e300, 0.0}, ServiceId{0});
+  ms.add_ue(sp, {-1e300, 1e300}, ServiceId{0});
+  ms.add_ue(sp, {10.0, 0.0}, ServiceId{0});
+  ms.data().link_build = LinkBuild::kSparse;
+  const Scenario s = ms.build();
+  EXPECT_TRUE(s.candidates(UeId{0}).empty());
+  EXPECT_TRUE(s.candidates(UeId{1}).empty());
+  ASSERT_EQ(s.candidates(UeId{2}).size(), 1u);
+  EXPECT_FALSE(s.link(UeId{0}, BsId{0}).in_coverage);
 }
 
 TEST(ScenarioLinkBuild, AllOutOfCoverageDegenerateScenario) {

@@ -115,6 +115,10 @@ TEST(Ofdma, RrbsNeededIsCeil) {
   EXPECT_EQ(rrbs_needed(4e6, 2e6), 2u);
   EXPECT_EQ(rrbs_needed(4.1e6, 2e6), 3u);
   EXPECT_EQ(rrbs_needed(1.0, 2e6), 1u);
+  // A demand past any BS's RRB count saturates instead of wrapping.
+  EXPECT_EQ(rrbs_needed(4294967294.0, 1.0), 4294967294u);
+  EXPECT_EQ(rrbs_needed(4294967295.0, 1.0), kUnservableRrbs);
+  EXPECT_EQ(rrbs_needed(1e300, 1.0), kUnservableRrbs);
 }
 
 TEST(Ofdma, RrbsNeededMonotoneInDemand) {

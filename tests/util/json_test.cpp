@@ -77,7 +77,7 @@ TEST(Json, ParsesWhitespaceAndEmptyContainers) {
 
 TEST(Json, ParseErrorsCarryOffsets) {
   for (const char* bad : {"", "{", "[1,", "{\"a\":}", "tru", "\"unterminated",
-                          "[1] trailing", "{\"a\" 1}", "nul"}) {
+                          "[1] trailing", "{\"a\" 1}", "nul", "1e999", "[-1e999]"}) {
     const JsonParseResult r = json_parse(bad);
     EXPECT_FALSE(r.ok) << bad;
     EXPECT_FALSE(r.error.empty()) << bad;
@@ -91,6 +91,10 @@ TEST(Json, TypeMismatchIsContractViolation) {
   EXPECT_THROW(v.at("missing"), ContractViolation);
   EXPECT_THROW(parse_ok("1.5").as_int(), ContractViolation);
   EXPECT_THROW(parse_ok("-1").as_u32(), ContractViolation);
+  // Beyond int64: a range error, never an out-of-range cast.
+  EXPECT_THROW(parse_ok("1e20").as_int(), ContractViolation);
+  EXPECT_THROW(parse_ok("-1e19").as_int(), ContractViolation);
+  EXPECT_EQ(parse_ok("-9007199254740992").as_int(), -9007199254740992);
 }
 
 TEST(Json, HasChecksMembership) {

@@ -17,6 +17,12 @@ int main(int argc, char** argv) {
   dmra_bench::add_obs_flags(cli);
   dmra_bench::add_fault_flags(cli);
   cli.parse_or_exit(argc, argv);
+  for (const double radius : cli.get_double_list("radius")) {
+    if (dmra::pricing_valid_for(dmra_bench::paper_config().pricing, radius)) continue;
+    std::cerr << "error: --radius=" << radius << " breaks Eq. 16: a cross-SP UE at that "
+              << "coverage radius would cost more than m_k - m_k^o\n";
+    return 1;
+  }
   const std::size_t num_ues = cli.get_size("ues");
   const auto seeds = dmra::default_seeds(cli.get_size("seeds"));
   dmra_bench::ObsSession obs_session(cli, argv[0]);

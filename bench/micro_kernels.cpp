@@ -76,8 +76,11 @@ void BM_BsSelect(benchmark::State& state) {
   for (std::size_t ui = 0; ui < scenario.num_ues(); ++ui) {
     const dmra::UeId u{static_cast<std::uint32_t>(ui)};
     const auto cands = scenario.candidates(u);
-    if (std::find(cands.begin(), cands.end(), bs) != cands.end())
-      proposals.push_back({u, static_cast<std::uint32_t>(cands.size())});
+    const auto it = std::find(cands.begin(), cands.end(), bs);
+    if (it == cands.end()) continue;
+    const auto slot = static_cast<std::size_t>(it - cands.begin());
+    proposals.push_back({u, static_cast<std::uint32_t>(cands.size()),
+                         scenario.candidate_rrbs(u)[slot]});
   }
   dmra::BsLocalResources local;
   local.crus = scenario.bs(bs).cru_capacity;

@@ -20,6 +20,11 @@ int main(int argc, char** argv) {
   dmra::ScenarioConfig cfg;
   cfg.num_ues = cli.get_size("ues");
   cfg.pricing.iota = cli.get_double("iota");
+  if (!dmra::pricing_valid_for(cfg.pricing, cfg.coverage_radius_m)) {
+    std::cerr << "error: --iota=" << cfg.pricing.iota << " breaks Eq. 16: a cross-SP UE at the "
+              << cfg.coverage_radius_m << " m coverage radius would cost more than m_k - m_k^o\n";
+    return 1;
+  }
   const dmra::Scenario scenario = dmra::generate_scenario(cfg, cli.get_size("seed"));
 
   std::cout << "scenario: " << scenario.num_sps() << " SPs, " << scenario.num_bss()
@@ -27,7 +32,7 @@ int main(int argc, char** argv) {
             << " services\n\n";
 
   // 2. Run DMRA and the paper's baselines through the common interface.
-  const dmra::DmraConfig dmra_cfg{.rho = cli.get_double("rho"), .max_rounds = 0};
+  const dmra::DmraConfig dmra_cfg{.rho = cli.get_double("rho")};
   std::vector<dmra::AllocatorPtr> algos;
   algos.push_back(std::make_unique<dmra::DmraAllocator>(dmra_cfg));
   algos.push_back(std::make_unique<dmra::DcspAllocator>());

@@ -32,8 +32,9 @@ Allocation DcspAllocator::allocate(const Scenario& scenario) const {
   };
 
   for (std::size_t round = 0; round < nu + 1; ++round) {
-    // UE proposals: lowest-occupancy feasible candidate.
-    std::map<BsId, std::vector<UeId>> proposals;
+    // UE proposals: lowest-occupancy feasible candidate, each filed under
+    // its BS with the BS's admission key (f_u, n(u,i), u).
+    std::map<BsId, std::vector<std::tuple<std::size_t, std::uint32_t, UeId>>> proposals;
     std::size_t sent = 0;
     for (std::size_t ui = 0; ui < nu; ++ui) {
       if (done[ui]) continue;
@@ -59,22 +60,17 @@ Allocation DcspAllocator::allocate(const Scenario& scenario) const {
         done[ui] = true;  // candidates exhausted → remote cloud
         continue;
       }
-      proposals[*choice].push_back(u);
+      proposals[*choice].emplace_back(scenario.coverage_count(u),
+                                      scenario.link(u, *choice).n_rrbs, u);
       ++sent;
     }
     if (sent == 0) break;
 
     // BS acceptance: fewest covering BSs first, then least radio, then id;
     // accept greedily while resources remain.
-    for (auto& [bs, ues] : proposals) {
-      std::sort(ues.begin(), ues.end(), [&](UeId a, UeId b) {
-        const auto ka = std::make_tuple(scenario.coverage_count(a),
-                                        scenario.link(a, bs).n_rrbs, a.value);
-        const auto kb = std::make_tuple(scenario.coverage_count(b),
-                                        scenario.link(b, bs).n_rrbs, b.value);
-        return ka < kb;
-      });
-      for (UeId u : ues) {
+    for (auto& [bs, ranked] : proposals) {
+      std::sort(ranked.begin(), ranked.end());
+      for (const auto& [f_u, n_rrbs, u] : ranked) {
         if (!state.can_serve(u, bs)) {
           std::erase(b_u[u.idx()], bs);  // rejected → move down the list
           continue;

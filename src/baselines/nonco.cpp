@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <tuple>
+#include <utility>
 
 #include "mec/audit.hpp"
 #include "mec/resources.hpp"
@@ -11,26 +11,33 @@ namespace dmra {
 
 namespace {
 
-/// Max-SINR candidate of u among `cands`; ties toward the smaller id.
-std::optional<BsId> best_sinr(const Scenario& scenario, UeId u,
-                              const std::vector<BsId>& cands) {
+/// A proposal as its BS ranks it: n(u,i), then the UE id.
+using RankedProposal = std::pair<std::uint32_t, UeId>;
+
+/// Max-SINR candidate of u among `cands` (ties toward the smaller id) and
+/// its n(u,i), read from the same link.
+std::optional<std::pair<BsId, std::uint32_t>> best_sinr(const Scenario& scenario, UeId u,
+                                                        const std::vector<BsId>& cands) {
   if (cands.empty()) return std::nullopt;
   BsId best = cands.front();
-  for (BsId i : cands)
-    if (scenario.link(u, i).sinr > scenario.link(u, best).sinr) best = i;
-  return best;
+  const LinkStats* best_link = &scenario.link(u, best);
+  for (std::size_t k = 1; k < cands.size(); ++k) {
+    const LinkStats& l = scenario.link(u, cands[k]);
+    if (l.sinr > best_link->sinr) {
+      best = cands[k];
+      best_link = &l;
+    }
+  }
+  return std::pair{best, best_link->n_rrbs};
 }
 
 /// BS admission: least-RRB-hungry first, then id; admit while feasible.
 /// Returns the UEs it rejected.
-std::vector<UeId> admit(const Scenario& scenario, ResourceState& state, Allocation& alloc,
-                        BsId bs, std::vector<UeId> ues) {
-  std::sort(ues.begin(), ues.end(), [&](UeId a, UeId b) {
-    return std::make_tuple(scenario.link(a, bs).n_rrbs, a.value) <
-           std::make_tuple(scenario.link(b, bs).n_rrbs, b.value);
-  });
+std::vector<UeId> admit(ResourceState& state, Allocation& alloc, BsId bs,
+                        std::vector<RankedProposal> proposals) {
+  std::sort(proposals.begin(), proposals.end());
   std::vector<UeId> rejected;
-  for (UeId u : ues) {
+  for (const auto& [n_rrbs, u] : proposals) {
     if (!state.can_serve(u, bs)) {
       rejected.push_back(u);
       continue;
@@ -59,16 +66,16 @@ Allocation NonCoAllocator::allocate(const Scenario& scenario) const {
 
   // One round in one-shot mode; until exhaustion in iterative mode.
   for (std::size_t round = 0; round < nu + 1 && !pending.empty(); ++round) {
-    std::map<BsId, std::vector<UeId>> proposals;
+    std::map<BsId, std::vector<RankedProposal>> proposals;
     for (UeId u : pending) {
       const auto choice = best_sinr(scenario, u, b_u[u.idx()]);
-      if (choice) proposals[*choice].push_back(u);
+      if (choice) proposals[choice->first].emplace_back(choice->second, u);
       // No candidate left → remote cloud (stays unassigned).
     }
     pending.clear();
 
-    for (auto& [bs, ues] : proposals) {
-      for (UeId u : admit(scenario, state, alloc, bs, std::move(ues))) {
+    for (auto& [bs, ranked] : proposals) {
+      for (UeId u : admit(state, alloc, bs, std::move(ranked))) {
         if (mode_ == Mode::kOneShot) continue;  // rejected → cloud, no retry
         std::erase(b_u[u.idx()], bs);
         pending.push_back(u);

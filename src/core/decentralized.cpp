@@ -79,18 +79,18 @@ class SnapshotRing {
 
 // ---- Message types -------------------------------------------------------
 
-/// UE → its SP: "propose on my behalf to BS `target`".
+/// UE → its SP: "propose on my behalf to my candidate `slot`" — a
+/// row-local index into Scenario::candidates(ue), which names the BS and,
+/// through candidate_rrbs(ue), n(u,i). Carrying the slot instead of the BS
+/// keeps the widest payload at three words.
 struct MsgOffloadRequest {
   UeId ue;
-  BsId target;
+  std::uint32_t slot;
   std::uint32_t f_u;
 };
 
-/// SP → BS: relayed proposal.
-struct MsgPropose {
-  UeId ue;
-  std::uint32_t f_u;
-};
+/// SP → BS: relayed proposal, the (ue, f_u, n(u,i)) the BS selects on.
+using MsgPropose = ProposalInfo;
 
 /// BS → SP → UE: outcome of a proposal.
 struct MsgDecision {
@@ -403,9 +403,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
   // matching would have converged at r-1) plus headroom for the recovery
   // machinery to settle.
   const std::size_t round_limit =
-      config.max_rounds > 0
-          ? config.max_rounds
-          : (kUnreliable ? 2 * nu + 64 + plan->schedule_horizon() : nu + 1);
+      kUnreliable ? 2 * nu + 64 + plan->schedule_horizon() : nu + 1;
 
   // Under faults a quiet round (no proposals) is not proof of convergence:
   // a delayed proposal may still be on its two hops to a BS, a scheduled
@@ -440,7 +438,8 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
   sort_scratch.reserve(nu * generations);
   BsSelectWorkspace ws;
   ws.reserve(scenario.num_services(), nu * generations);
-  const std::vector<UeId> empty_accepts;
+  const std::vector<ProposalInfo> empty_accepts;
+  const auto by_ue = [](const ProposalInfo& x, const ProposalInfo& y) { return x.ue < y.ue; };
 
   // Heap-allocation accounting: one count() sample per round when a probe
   // is installed (perf_report, the zero-allocation test), one dead branch
@@ -549,8 +548,6 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
               a.serving_silence = 0;
               a.heard_serving = true;
             }
-          } else if (config.drop_rejected) {
-            b_u.erase_bs(scenario, a.ue, dec->bs);  // move down the list, GS-style
           }
         }
       }
@@ -595,7 +592,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
         a.at_cloud = true;
         continue;
       }
-      bus.send(a.address, a.sp_address, MsgOffloadRequest{a.ue, *p.bs, p.f_u});
+      bus.send(a.address, a.sp_address, MsgOffloadRequest{a.ue, p.slot, p.f_u});
       ++sent_this_round;
       if (crashes) {
         if (a.last_target != *p.bs) a.unanswered = 0;
@@ -635,8 +632,10 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
     for (SpAgent& sp : sp_agents) {
       for (auto& env : bus.take_inbox(sp.address)) {
         if (const auto* req = std::get_if<MsgOffloadRequest>(&env.payload)) {
-          bus.send(sp.address, bs_agents[bs_local[req->target.idx()]].address,
-                   MsgPropose{req->ue, req->f_u});
+          // The UE's candidate slot names the BS and the n(u,i) it selects on.
+          const BsId target = scenario.candidates(req->ue)[req->slot];
+          bus.send(sp.address, bs_agents[bs_local[target.idx()]].address,
+                   MsgPropose{req->ue, req->f_u, scenario.candidate_rrbs(req->ue)[req->slot]});
           ++mix.proposals_sp_bs;
         } else {
           const auto& dec = std::get<MsgDecision>(env.payload);
@@ -668,7 +667,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
         if (kUnreliable && b.admitted[ue_local[p.ue.idx()]]) {
           reacks.push_back(p.ue);
         } else {
-          fresh.push_back(ProposalInfo{p.ue, p.f_u});
+          fresh.push_back(p);
         }
       }
       // Duplication/delay can land two generations of the same UE's
@@ -683,17 +682,17 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
       }
       if (fresh.empty() && reacks.empty() && !kUnreliable) continue;
 
-      const std::vector<UeId>& accepted =
+      const std::vector<ProposalInfo>& accepted =
           fresh.empty() ? empty_accepts
                         : bs_select(scenario, b.bs, fresh, b.resources, ws, config);
 
-      for (UeId u : accepted) {
+      for (const ProposalInfo& p : accepted) {
+        const UeId u = p.ue;
         const UserEquipment& e = scenario.ue(u);
-        const LinkStats& l = scenario.link(u, b.bs);
         DMRA_REQUIRE(b.resources.crus[e.service.idx()] >= e.cru_demand);
-        DMRA_REQUIRE(b.resources.rrbs >= l.n_rrbs);
+        DMRA_REQUIRE(b.resources.rrbs >= p.n_rrbs);
         b.resources.crus[e.service.idx()] -= e.cru_demand;
-        b.resources.rrbs -= l.n_rrbs;
+        b.resources.rrbs -= p.n_rrbs;
         result.dmra.allocation.assign(u, b.bs);
         if (kUnreliable) b.admitted[ue_local[u.idx()]] = true;
         ++accepted_this_round;
@@ -711,8 +710,7 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
 
       // Reply to every proposer through its SP.
       for (const ProposalInfo& p : fresh) {
-        const bool ok =
-            std::binary_search(accepted.begin(), accepted.end(), p.ue);
+        const bool ok = std::binary_search(accepted.begin(), accepted.end(), p, by_ue);
         const AgentId sp_addr = sp_agents[scenario.ue(p.ue).sp.idx()].address;
         bus.send(b.address, sp_addr, MsgDecision{p.ue, b.bs, ok});
       }
@@ -796,8 +794,9 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
           bus.send(sp.address, ue_agents[li].address, *dec);
           ++mix.decisions_sp_ue;
         } else if (const auto* req = std::get_if<MsgOffloadRequest>(&env.payload)) {
-          bus.send(sp.address, bs_agents[bs_local[req->target.idx()]].address,
-                   MsgPropose{req->ue, req->f_u});
+          const BsId target = scenario.candidates(req->ue)[req->slot];
+          bus.send(sp.address, bs_agents[bs_local[target.idx()]].address,
+                   MsgPropose{req->ue, req->f_u, scenario.candidate_rrbs(req->ue)[req->slot]});
           ++mix.proposals_sp_bs;
         }
       }

@@ -24,9 +24,9 @@ void LiveCandidates::build(const Scenario& scenario, std::span<const UeId> ues) 
 namespace {
 
 BsPrefKey pref_key(const Scenario& scenario, BsId i, const ProposalInfo& p,
-                   std::uint32_t n_rrbs, const DmraConfig& config) {
+                   const DmraConfig& config) {
   const UserEquipment& e = scenario.ue(p.ue);
-  const std::uint32_t footprint = n_rrbs + e.cru_demand;
+  const std::uint32_t footprint = p.n_rrbs + e.cru_demand;
   return BsPrefKey{config.prefer_same_sp ? !scenario.same_sp(p.ue, i) : false,
                    config.use_coverage_count ? p.f_u : 0,
                    config.use_footprint ? footprint : 0, p.ue.value};
@@ -57,17 +57,16 @@ void BsSelectWorkspace::reserve(std::size_t num_services, std::size_t max_propos
   counts_.reserve(num_services);
   offsets_.reserve(num_services + 1);
   keys_.reserve(max_proposals);
-  ues_.reserve(max_proposals);
-  rrbs_.reserve(max_proposals);
+  props_.reserve(max_proposals);
   demands_.reserve(max_proposals);
   winners_.reserve(num_services);
   accepted_.reserve(num_services);
 }
 
-const std::vector<UeId>& bs_select(const Scenario& scenario, BsId i,
-                                   std::span<const ProposalInfo> proposals,
-                                   const BsLocalResources& local, BsSelectWorkspace& ws,
-                                   const DmraConfig& config) {
+const std::vector<ProposalInfo>& bs_select(const Scenario& scenario, BsId i,
+                                           std::span<const ProposalInfo> proposals,
+                                           const BsLocalResources& local,
+                                           BsSelectWorkspace& ws, const DmraConfig& config) {
   DMRA_REQUIRE(local.crus.size() == scenario.num_services());
   // Tracing: one pointer test when disabled; all event work is behind it.
   obs::TraceRecorder* const rec = obs::recorder();
@@ -84,18 +83,15 @@ const std::vector<UeId>& bs_select(const Scenario& scenario, BsId i,
   ws.offsets_.assign(ns + 1, 0);
   for (std::size_t j = 0; j < ns; ++j) ws.offsets_[j + 1] = ws.offsets_[j] + ws.counts_[j];
   ws.keys_.resize(np);
-  ws.ues_.resize(np);
-  ws.rrbs_.resize(np);
+  ws.props_.resize(np);
   ws.demands_.resize(np);
   for (std::size_t j = 0; j < ns; ++j) ws.counts_[j] = ws.offsets_[j];  // cursors
   for (const ProposalInfo& p : proposals) {
     const UserEquipment& e = scenario.ue(p.ue);
-    const LinkStats& l = scenario.link(p.ue, i);
-    DMRA_REQUIRE_MSG(l.in_coverage, "proposal from uncovered UE");
+    DMRA_REQUIRE_MSG(p.n_rrbs > 0, "proposal without an RRB demand (not a candidate)");
     const std::uint32_t row = ws.counts_[e.service.idx()]++;
-    ws.keys_[row] = pref_key(scenario, i, p, l.n_rrbs, config);
-    ws.ues_[row] = p.ue;
-    ws.rrbs_[row] = l.n_rrbs;
+    ws.keys_[row] = pref_key(scenario, i, p, config);
+    ws.props_[row] = p;
     ws.demands_[row] = e.cru_demand;
   }
 
@@ -106,7 +102,7 @@ const std::vector<UeId>& bs_select(const Scenario& scenario, BsId i,
   ws.winners_.clear();
   for (std::size_t j = 0; j < ns; ++j) {
     const auto feasible = [&](std::uint32_t row) {
-      return local.crus[j] >= ws.demands_[row] && local.rrbs >= ws.rrbs_[row];
+      return local.crus[j] >= ws.demands_[row] && local.rrbs >= ws.props_[row].n_rrbs;
     };
     // Pick the best proposal the BS can still honour (CRU view at round
     // start) in one pass — no feasible-subset copy.
@@ -114,7 +110,7 @@ const std::vector<UeId>& bs_select(const Scenario& scenario, BsId i,
     for (std::uint32_t row = ws.offsets_[j]; row < ws.offsets_[j + 1]; ++row) {
       if (!feasible(row)) {
         if (rec != nullptr)
-          record_decision(*rec, scenario, i, ws.ues_[row], ws.keys_[row], false,
+          record_decision(*rec, scenario, i, ws.props_[row].ue, ws.keys_[row], false,
                           obs::DecisionReason::kInfeasible);
         continue;
       }
@@ -125,7 +121,7 @@ const std::vector<UeId>& bs_select(const Scenario& scenario, BsId i,
       // lexicographic tiebreak to `best`; record the losing key.
       for (std::uint32_t row = ws.offsets_[j]; row < ws.offsets_[j + 1]; ++row) {
         if (row == best || !feasible(row)) continue;
-        record_decision(*rec, scenario, i, ws.ues_[row], ws.keys_[row], false,
+        record_decision(*rec, scenario, i, ws.props_[row].ue, ws.keys_[row], false,
                         obs::DecisionReason::kLostTiebreak);
       }
     }
@@ -135,7 +131,7 @@ const std::vector<UeId>& bs_select(const Scenario& scenario, BsId i,
   // Radio trim (lines 22–25): if the winners' aggregate RRB demand
   // overshoots the budget, drop the least-preferred winners until it fits.
   std::uint64_t total_rrbs = 0;
-  for (const std::uint32_t row : ws.winners_) total_rrbs += ws.rrbs_[row];
+  for (const std::uint32_t row : ws.winners_) total_rrbs += ws.props_[row].n_rrbs;
   if (total_rrbs > local.rrbs) {
     std::sort(ws.winners_.begin(), ws.winners_.end(),
               [&](std::uint32_t a, std::uint32_t b) { return ws.keys_[a] < ws.keys_[b]; });
@@ -144,27 +140,28 @@ const std::vector<UeId>& bs_select(const Scenario& scenario, BsId i,
       if (rec != nullptr) {
         obs::TraceEvent t;
         t.kind = obs::EventKind::kTrimEviction;
-        t.ue = ws.ues_[victim].value;
+        t.ue = ws.props_[victim].ue.value;
         t.bs = i.value;
-        t.service = scenario.ue(ws.ues_[victim]).service.value;
-        t.value = ws.rrbs_[victim];
+        t.service = scenario.ue(ws.props_[victim].ue).service.value;
+        t.value = ws.props_[victim].n_rrbs;
         t.key = to_obs_key(ws.keys_[victim]);
         rec->record(t);
-        record_decision(*rec, scenario, i, ws.ues_[victim], ws.keys_[victim], false,
+        record_decision(*rec, scenario, i, ws.props_[victim].ue, ws.keys_[victim], false,
                         obs::DecisionReason::kTrimmed);
       }
-      total_rrbs -= ws.rrbs_[victim];
+      total_rrbs -= ws.props_[victim].n_rrbs;
       ws.winners_.pop_back();
     }
   }
   if (rec != nullptr)
     for (const std::uint32_t row : ws.winners_)
-      record_decision(*rec, scenario, i, ws.ues_[row], ws.keys_[row], true,
+      record_decision(*rec, scenario, i, ws.props_[row].ue, ws.keys_[row], true,
                       obs::DecisionReason::kAccepted);
 
   ws.accepted_.clear();
-  for (const std::uint32_t row : ws.winners_) ws.accepted_.push_back(ws.ues_[row]);
-  std::sort(ws.accepted_.begin(), ws.accepted_.end());
+  for (const std::uint32_t row : ws.winners_) ws.accepted_.push_back(ws.props_[row]);
+  std::sort(ws.accepted_.begin(), ws.accepted_.end(),
+            [](const ProposalInfo& a, const ProposalInfo& b) { return a.ue < b.ue; });
   return ws.accepted_;
   // dmra::hotpath end(bs-select)
 }
@@ -173,7 +170,11 @@ std::vector<UeId> bs_select(const Scenario& scenario, BsId i,
                             std::span<const ProposalInfo> proposals,
                             const BsLocalResources& local, const DmraConfig& config) {
   BsSelectWorkspace ws;
-  return bs_select(scenario, i, proposals, local, ws, config);
+  const std::vector<ProposalInfo>& accepted = bs_select(scenario, i, proposals, local, ws, config);
+  std::vector<UeId> ues;
+  ues.reserve(accepted.size());
+  for (const ProposalInfo& p : accepted) ues.push_back(p.ue);
+  return ues;
 }
 
 }  // namespace dmra

@@ -35,9 +35,6 @@ struct DmraConfig {
   /// ρ of Eq. 17: weight of remaining resources in the UE preference.
   /// ρ = 0 makes UEs purely price-driven.
   double rho = 100.0;
-  /// Safety bound on iterations; 0 means "no explicit bound" (the
-  /// algorithm provably terminates in ≤ |U| iterations anyway).
-  std::size_t max_rounds = 0;
 
   // Ablation switches (bench/abl2_tiebreaks): each disables one design
   // choice of Alg. 1's BS-side preference. Leave at the defaults for the
@@ -48,14 +45,6 @@ struct DmraConfig {
   bool use_coverage_count = true;
   /// Tie-break by smallest resource footprint n(u,i) + c_j^u.
   bool use_footprint = true;
-  /// If true, a UE rejected by a BS removes that BS from B_u and moves on
-  /// (classic one-shot deferred acceptance). Alg. 1's literal reading —
-  /// and the default — is false: a rejected UE may re-propose once the
-  /// next broadcast shows the BS still serviceable, and only an
-  /// *unserviceable* BS leaves B_u (line 10). One-shot rejection burns
-  /// candidate options under contention and measurably hurts every metric
-  /// (see bench/abl2_tiebreaks).
-  bool drop_rejected = false;
 };
 
 /// Eq. 17: v(u,i) = p(i,u) + ρ / (remaining CRUs of u's service at i +
@@ -100,7 +89,7 @@ class LiveCandidates {
   }
 
   /// Remove BS `i` from u's row if present (the decentralized runtime's
-  /// drop-rejected / presumed-dead paths). Order-preserving.
+  /// presumed-dead path). Order-preserving.
   void erase_bs(const Scenario& scenario, UeId u, BsId i) {
     const std::span<const BsId> cands = scenario.candidates(u);
     const std::span<const std::uint32_t> row = live(u);
@@ -133,11 +122,14 @@ class LiveCandidates {
 };
 
 /// One UE's move in the UE phase of Alg. 1: the BS it proposes to, or
-/// nullopt once B_u is exhausted (→ remote cloud), and the f_u that
-/// travels with the proposal.
+/// nullopt once B_u is exhausted (→ remote cloud), the f_u that travels
+/// with the proposal, and the BS's place in u's candidate row — its
+/// row-local slot and n(u,i) — so no later step looks the link up.
 struct Proposal {
   std::optional<BsId> bs;
   std::uint32_t f_u = 0;
+  std::uint32_t slot = 0;    ///< candidates(u)[slot] == *bs
+  std::uint32_t n_rrbs = 0;  ///< candidate_rrbs(u)[slot]
 };
 
 /// UE proposal step (Alg. 1 lines 4–10) in one pass over u's *full*
@@ -209,15 +201,17 @@ Proposal propose_soa(const Scenario& scenario, LiveCandidates& lc, UeId u, doubl
     });
   }
   if (best == kNone) return {std::nullopt, f_u};
-  return {cands[best], f_u};
+  return {cands[best], f_u, static_cast<std::uint32_t>(best), rrb_demand[best]};
   // dmra::hotpath end(propose)
 }
 
-/// One UE's proposal as seen by a BS: the UE id plus the f_u the UE
-/// reported (a BS cannot compute f_u itself — it only knows its own load).
+/// One UE's proposal as seen by a BS: the UE id, the f_u the UE reported
+/// (a BS cannot compute f_u itself — it only knows its own load) and
+/// n(u,i), the RRBs u needs at this BS, read from u's candidate row.
 struct ProposalInfo {
   UeId ue;
   std::uint32_t f_u = 0;
+  std::uint32_t n_rrbs = 0;
 };
 
 /// A BS's knowledge of its own remaining resources.
@@ -242,7 +236,7 @@ struct BsPrefKey {
 };
 
 /// Caller-owned scratch for bs_select: the counting-sort service grouping,
-/// the per-proposal SoA key/feasibility rows, the winner list, and the
+/// the per-proposal key/proposal/demand rows, the winner list, and the
 /// accepted return buffer. Reuse one instance across rounds — every buffer
 /// keeps its capacity, so steady-state calls perform no heap allocation.
 class BsSelectWorkspace {
@@ -252,34 +246,36 @@ class BsSelectWorkspace {
   void reserve(std::size_t num_services, std::size_t max_proposals);
 
  private:
-  friend const std::vector<UeId>& bs_select(const Scenario&, BsId,
-                                            std::span<const ProposalInfo>,
-                                            const BsLocalResources&, BsSelectWorkspace&,
-                                            const DmraConfig&);
+  friend const std::vector<ProposalInfo>& bs_select(const Scenario&, BsId,
+                                                    std::span<const ProposalInfo>,
+                                                    const BsLocalResources&,
+                                                    BsSelectWorkspace&, const DmraConfig&);
   std::vector<std::uint32_t> counts_;    ///< per-service counts, then cursors
   std::vector<std::uint32_t> offsets_;   ///< per-service group begin
   std::vector<BsPrefKey> keys_;          ///< grouped rows: preference key
-  std::vector<UeId> ues_;                ///<   …proposer
-  std::vector<std::uint32_t> rrbs_;      ///<   …n(u,i) RRB demand
+  std::vector<ProposalInfo> props_;      ///<   …the proposal
   std::vector<std::uint32_t> demands_;   ///<   …c_j^u CRU demand
   std::vector<std::uint32_t> winners_;   ///< row indices of service winners
-  std::vector<UeId> accepted_;           ///< the sorted return buffer
+  std::vector<ProposalInfo> accepted_;   ///< the sorted return buffer
 };
 
 /// BS acceptance step (Alg. 1 lines 11–25): per requested service pick one
 /// winner (same-SP pool first, then min f_u, then min footprint
 /// n(u,i)+c_j^u, then min UeId), then trim the winner set to the RRB
-/// budget by dropping the BS's least-preferred winners. Returns accepted
-/// UEs sorted by id — a reference into `ws`, valid until the next call on
-/// the same workspace. The input order of `proposals` does not matter.
-/// `config`'s ablation switches control which tie-breaks participate.
-const std::vector<UeId>& bs_select(const Scenario& scenario, BsId i,
-                                   std::span<const ProposalInfo> proposals,
-                                   const BsLocalResources& local, BsSelectWorkspace& ws,
-                                   const DmraConfig& config = {});
+/// budget by dropping the BS's least-preferred winners. Returns the
+/// accepted proposals sorted by UE id — a reference into `ws`, valid until
+/// the next call on the same workspace. The input order of `proposals`
+/// does not matter; each must carry its n(u,i) (nonzero, as every
+/// candidate slot's is). `config`'s ablation switches control which
+/// tie-breaks participate.
+const std::vector<ProposalInfo>& bs_select(const Scenario& scenario, BsId i,
+                                           std::span<const ProposalInfo> proposals,
+                                           const BsLocalResources& local,
+                                           BsSelectWorkspace& ws, const DmraConfig& config = {});
 
 /// Convenience overload with a per-call workspace (tests, benches, cold
-/// paths). Same decisions; pays the workspace allocations each call.
+/// paths): the accepted UE ids, sorted. Same decisions; pays the workspace
+/// allocations each call.
 std::vector<UeId> bs_select(const Scenario& scenario, BsId i,
                             std::span<const ProposalInfo> proposals,
                             const BsLocalResources& local,

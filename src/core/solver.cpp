@@ -1,6 +1,5 @@
 #include "core/solver.hpp"
 
-#include <algorithm>
 #include <span>
 
 #include "mec/audit.hpp"
@@ -63,7 +62,7 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
 
   // Every round with proposals matches at least one proposer.
   const std::size_t np = proposers.size();
-  const std::size_t round_limit = config.max_rounds > 0 ? config.max_rounds : np + 1;
+  const std::size_t round_limit = np + 1;
 
   // Per-round scratch, hoisted out of the round loop so every buffer
   // settles at its high-water capacity: the flat proposal log (UE order),
@@ -73,7 +72,7 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
   const std::size_t nb = scenario.num_bss();
   const std::size_t ns = scenario.num_services();
   std::vector<std::uint32_t> prop_bs;      // proposal m went to this BS
-  std::vector<ProposalInfo> prop_info;     // …carrying this (ue, f_u)
+  std::vector<ProposalInfo> prop_info;     // …carrying this (ue, f_u, n)
   std::vector<ProposalInfo> grouped;       // proposals regrouped by BS
   std::vector<std::uint32_t> group_count;  // per-BS counts, then cursors
   std::vector<std::size_t> group_begin;    // per-BS group offsets (nb + 1)
@@ -108,7 +107,7 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
       if (!p.bs) continue;  // Alg. 1: B_u exhausted → remote cloud
       seeking[still++] = u;
       prop_bs.push_back(p.bs->value);
-      prop_info.push_back(ProposalInfo{u, p.f_u});
+      prop_info.push_back(ProposalInfo{u, p.f_u, p.n_rrbs});
       if (rec != nullptr) {
         obs::TraceEvent e;
         e.kind = obs::EventKind::kProposal;
@@ -156,18 +155,11 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
         local.crus[j] = state.remaining_crus(bs, ServiceId{static_cast<std::uint32_t>(j)});
       local.rrbs = state.remaining_rrbs(bs);
 
-      const auto& accepted = bs_select(scenario, bs, props, local, ws, config);
-      for (UeId u : accepted) {
-        state.commit(u, bs);
-        allocation.assign(u, bs);
+      for (const ProposalInfo& p : bs_select(scenario, bs, props, local, ws, config)) {
+        state.commit(p.ue, bs);
+        allocation.assign(p.ue, bs);
         ++accepted_this_round;
-        if (rec != nullptr) traced_profit += scenario.pair_profit(u, bs);
-      }
-      if (config.drop_rejected) {
-        for (const ProposalInfo& p : props) {
-          if (std::binary_search(accepted.begin(), accepted.end(), p.ue)) continue;
-          b_u.erase_bs(scenario, p.ue, bs);
-        }
+        if (rec != nullptr) traced_profit += scenario.pair_profit(p.ue, bs);
       }
     }
     // dmra::hotpath end(solver-accept)

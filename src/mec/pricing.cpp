@@ -27,10 +27,10 @@ bool is_profitable(const PricingConfig& cfg, double distance_m, bool same_sp) {
   return cru_margin(cfg, distance_m, same_sp) > 0.0;
 }
 
-bool pricing_valid_for(const PricingConfig& cfg, double max_distance_m) {
+bool pricing_valid_for(const PricingConfig& cfg, double max_distance_m, double multiplier) {
   // cru_price is strictly increasing in distance and cross-SP dominates
   // same-SP, so the worst case is (max_distance_m, different SP).
-  return is_profitable(cfg, max_distance_m, /*same_sp=*/false);
+  return cfg.m_k > multiplier * cru_price(cfg, max_distance_m, /*same_sp=*/false) + cfg.m_k_o;
 }
 
 }  // namespace dmra

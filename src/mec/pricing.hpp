@@ -54,8 +54,12 @@ double cru_margin(const PricingConfig& cfg, double distance_m, bool same_sp);
 bool is_profitable(const PricingConfig& cfg, double distance_m, bool same_sp);
 
 /// Validates Eq. 16 over every distance in [0, max_distance_m] for both
-/// same-SP and cross-SP prices (the price is monotone in distance, so the
-/// extreme distance suffices).
-bool pricing_valid_for(const PricingConfig& cfg, double max_distance_m);
+/// same-SP and cross-SP prices, at a BS that scales Eq. 9/10 by
+/// `multiplier` (the price is monotone in distance, so the extreme distance
+/// suffices). Scenario construction requires it at the coverage radius for
+/// every BS; a command line that sets the pricing or the radius checks it
+/// after parsing.
+bool pricing_valid_for(const PricingConfig& cfg, double max_distance_m,
+                       double multiplier = 1.0);
 
 }  // namespace dmra

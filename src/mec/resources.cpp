@@ -19,18 +19,22 @@ ResourceState::ResourceState(const Scenario& scenario) : scenario_(&scenario) {
   }
 }
 
+bool ResourceState::fits(const UserEquipment& e, BsId i, std::uint32_t n_rrbs) const {
+  // An out-of-coverage link has n(u,i) = 0.
+  return n_rrbs != 0 && remaining_crus(i, e.service) >= e.cru_demand &&
+         remaining_rrbs(i) >= n_rrbs;
+}
+
 bool ResourceState::can_serve(UeId u, BsId i) const {
-  const UserEquipment& e = scenario_->ue(u);
-  const LinkStats& l = scenario_->link(u, i);
-  if (!l.in_coverage || l.n_rrbs == 0) return false;
-  return remaining_crus(i, e.service) >= e.cru_demand && remaining_rrbs(i) >= l.n_rrbs;
+  return fits(scenario_->ue(u), i, scenario_->link(u, i).n_rrbs);
 }
 
 void ResourceState::commit(UeId u, BsId i) {
-  DMRA_REQUIRE_MSG(can_serve(u, i), "commit on a BS that cannot serve the UE");
   const UserEquipment& e = scenario_->ue(u);
+  const std::uint32_t n_rrbs = scenario_->link(u, i).n_rrbs;
+  DMRA_REQUIRE_MSG(fits(e, i, n_rrbs), "commit on a BS that cannot serve the UE");
   crus_[cru_index(i, e.service)] -= e.cru_demand;
-  rrbs_[i.idx()] -= scenario_->link(u, i).n_rrbs;
+  rrbs_[i.idx()] -= n_rrbs;
 }
 
 void ResourceState::release(UeId u, BsId i) {

@@ -74,6 +74,8 @@ class ResourceState {
   std::size_t cru_index(BsId i, ServiceId j) const {
     return i.idx() * scenario_->num_services() + j.idx();
   }
+  /// can_serve with n(u,i) already in hand.
+  bool fits(const UserEquipment& e, BsId i, std::uint32_t n_rrbs) const;
 };
 
 }  // namespace dmra

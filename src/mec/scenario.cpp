@@ -1,8 +1,10 @@
 #include "mec/scenario.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_map>
+#include <limits>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -12,50 +14,77 @@ const LinkStats Scenario::kNoLink{};
 
 namespace {
 
-/// Dense link storage caps out at this many (UE, BS) entries; larger
-/// deployments switch to the spatial-hash + CSR build (LinkBuild::kAuto).
-/// 2^16 entries ≈ 2.6 MB keeps every paper-scale scenario on the O(1)
-/// dense path while million-user deployments stay O(U·k̄) in memory.
-constexpr std::size_t kDenseLinkThreshold = std::size_t{1} << 16;
-
-/// Spatial hash over BS positions with cell size = coverage radius: every
-/// BS within the radius of a point lies in the point's 3×3 cell block.
+/// Spatial index over BS positions. The BSs' bounding box is cut into
+/// square cells no narrower than the coverage radius, so every BS within
+/// the radius of a point lies in the point's 3×3 cell block; each cell
+/// lists its BSs (a counting sort, x-major, so a column of the block is one
+/// run). A wide, sparse box gets cells wider than the radius, which keeps
+/// the table at O(|B|) cells and costs only distance checks.
 class BsGrid {
  public:
-  BsGrid(const std::vector<BaseStation>& bss, double cell_m) : cell_m_(cell_m) {
-    for (std::uint32_t i = 0; i < bss.size(); ++i)
-      cells_[key(cell(bss[i].position.x), cell(bss[i].position.y))].push_back(i);
+  BsGrid(const std::vector<BaseStation>& bss, double radius_m) {
+    Point hi = origin_;
+    if (!bss.empty()) origin_ = hi = bss.front().position;
+    for (const BaseStation& b : bss) {
+      origin_ = {std::min(origin_.x, b.position.x), std::min(origin_.y, b.position.y)};
+      hi = {std::max(hi.x, b.position.x), std::max(hi.y, b.position.y)};
+    }
+    // At most about 2·sqrt(|B|) cells a side. Capped at the largest double
+    // so that an extent that overflows still divides to a number.
+    const double side =
+        std::max(1.0, std::ceil(2.0 * std::sqrt(static_cast<double>(bss.size()))));
+    cell_m_ = std::min(std::max({radius_m, (hi.x - origin_.x) / side, (hi.y - origin_.y) / side}),
+                       std::numeric_limits<double>::max());
+    std::vector<std::pair<std::int64_t, std::int64_t>> at(bss.size());
+    for (std::size_t i = 0; i < bss.size(); ++i) {
+      at[i] = {axis(bss[i].position.x - origin_.x, side),
+               axis(bss[i].position.y - origin_.y, side)};
+      nx_ = std::max(nx_, at[i].first + 1);
+      ny_ = std::max(ny_, at[i].second + 1);
+    }
+    const auto cell = [&](std::size_t i) {
+      return static_cast<std::size_t>(at[i].first * ny_ + at[i].second);
+    };
+    // Counting sort by cell: count, turn the counts into cell ends, then
+    // fill each cell from its end, which leaves every offset at its begin.
+    cell_begin_.assign(static_cast<std::size_t>(nx_ * ny_) + 1, 0);
+    for (std::size_t i = 0; i < bss.size(); ++i) ++cell_begin_[cell(i)];
+    for (std::size_t c = 1; c < cell_begin_.size(); ++c) cell_begin_[c] += cell_begin_[c - 1];
+    ids_.resize(bss.size());
+    for (std::size_t i = 0; i < bss.size(); ++i)
+      ids_[--cell_begin_[cell(i)]] = static_cast<std::uint32_t>(i);
   }
 
-  /// BS indices in the 3×3 block around `p`, ascending (callers rely on
-  /// CSR rows being sorted by BS id).
-  void neighbors(const Point& p, std::vector<std::uint32_t>& out) const {
-    out.clear();
-    const std::int64_t cx = cell(p.x), cy = cell(p.y);
-    for (std::int64_t dx = -1; dx <= 1; ++dx)
-      for (std::int64_t dy = -1; dy <= 1; ++dy) {
-        const auto it = cells_.find(key(cx + dx, cy + dy));
-        if (it == cells_.end()) continue;
-        out.insert(out.end(), it->second.begin(), it->second.end());
-      }
-    std::sort(out.begin(), out.end());
+  /// Calls visit(bs) for each BS in the 3×3 cell block around `p`, in no
+  /// particular order.
+  template <typename Visit>
+  void for_each_near(const Point& p, Visit&& visit) const {
+    const std::int64_t cx = axis(p.x - origin_.x, static_cast<double>(nx_));
+    const std::int64_t cy = axis(p.y - origin_.y, static_cast<double>(ny_));
+    const std::int64_t y0 = std::max<std::int64_t>(cy - 1, 0);
+    const std::int64_t y1 = std::min(cy + 1, ny_ - 1);
+    for (std::int64_t x = std::max<std::int64_t>(cx - 1, 0); x <= std::min(cx + 1, nx_ - 1); ++x)
+      for (std::size_t k = cell_begin_[static_cast<std::size_t>(x * ny_ + y0)];
+           k < cell_begin_[static_cast<std::size_t>(x * ny_ + y1 + 1)]; ++k)
+        visit(ids_[k]);
   }
 
  private:
-  /// Clamped in floating point so the cast, and `cell + 1` in
-  /// neighbors(), stay in range for any finite position; positions past
-  /// the clamp share edge cells, which only costs distance checks.
-  std::int64_t cell(double v) const {
-    constexpr double kMaxCell = 4294967296.0;  // 2^32
-    return static_cast<std::int64_t>(std::clamp(std::floor(v / cell_m_), -kMaxCell, kMaxCell));
-  }
-  static std::uint64_t key(std::int64_t cx, std::int64_t cy) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
+  /// The cell of an offset from the origin along one axis, clamped to
+  /// [-1, last] in floating point so the cast is defined for any finite
+  /// position: every negative offset lands in -1, and truncation is floor
+  /// for the rest. A point past the box's edge cells shares their block,
+  /// which only adds BSs the distance check drops.
+  std::int64_t axis(double offset, double last) const {
+    const double q = offset / cell_m_;
+    return q < 0.0 ? -1 : static_cast<std::int64_t>(std::min(q, last));
   }
 
-  double cell_m_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> cells_;
+  Point origin_{0.0, 0.0};
+  double cell_m_ = 0.0;
+  std::int64_t nx_ = 0, ny_ = 0;         ///< cells spanned by the BSs, per axis
+  std::vector<std::size_t> cell_begin_;  ///< per cell (x-major), into ids_
+  std::vector<std::uint32_t> ids_;       ///< BS indices, by cell
 };
 
 }  // namespace
@@ -101,100 +130,67 @@ void Scenario::validate() const {
     DMRA_REQUIRE_MSG(e.rate_demand_bps > 0.0, "UE rate demand must be positive");
   }
 
-  // Eq. 16 over the whole deployment: the farthest profitable pair is at
-  // the coverage radius (beyond it no association is possible), priced at
-  // each BS's own multiplier.
+  // Eq. 16 over the whole deployment: the dearest pair is cross-SP at the
+  // coverage radius (beyond it no association is possible), at the highest
+  // price multiplier (the price is monotone in it).
+  double max_multiplier = 0.0;
   for (const BaseStation& b : data_.bss) {
     DMRA_REQUIRE_MSG(b.price_multiplier > 0.0, "price multiplier must be positive");
-    const double worst_price =
-        b.price_multiplier *
-        cru_price(data_.pricing, data_.coverage_radius_m, /*same_sp=*/false);
-    DMRA_REQUIRE_MSG(data_.pricing.m_k > worst_price + data_.pricing.m_k_o,
-                     "pricing violates Eq. 16 within the coverage radius");
+    max_multiplier = std::max(max_multiplier, b.price_multiplier);
   }
+  DMRA_REQUIRE_MSG(data_.bss.empty() || pricing_valid_for(data_.pricing, data_.coverage_radius_m,
+                                                          max_multiplier),
+                   "pricing violates Eq. 16 within the coverage radius");
 }
 
 void Scenario::build_links() {
   const std::size_t nu = num_ues();
-  const std::size_t nb = num_bss();
-  dense_links_ = data_.link_build == LinkBuild::kDense ||
-                 (data_.link_build == LinkBuild::kAuto && nu * nb <= kDenseLinkThreshold);
   cand_offsets_.assign(nu + 1, 0);
+  link_offsets_.assign(nu + 1, 0);
   candidates_.clear();
   cand_price_.clear();
   cand_rrbs_.clear();
   links_.clear();
   link_cols_.clear();
-  link_offsets_.clear();
 
-  // Shared per-pair computation: only ever invoked for in-radius pairs,
-  // so the dense and sparse builds produce bit-identical stats. Pairs the
-  // radio cannot serve at all (zero rate) are kept but demoted to
-  // out-of-coverage, matching the historical dense semantics.
-  const auto compute_link = [&](const UserEquipment& u, const BaseStation& b,
-                                double distance) {
-    LinkStats l;
-    l.distance_m = distance;
-    l.in_coverage = true;
-    l.sinr = sinr(data_.channel, l.distance_m, data_.ofdma.rrb_bandwidth_hz, u.id.value,
-                  b.id.value);
-    l.rrb_rate_bps = rrb_rate_bps(data_.ofdma.rrb_bandwidth_hz, l.sinr);
-    if (l.rrb_rate_bps > 0.0) {
-      l.n_rrbs = rrbs_needed(u.rate_demand_bps, l.rrb_rate_bps);
-    } else {
-      l.n_rrbs = 0;
-      l.in_coverage = false;
-    }
-    return l;
-  };
-  // Candidate rule: coverage + service hosted + radio demand individually
-  // satisfiable + enough capacity for the demand. Stored flat to keep
-  // Scenario cheap to copy around.
-  const auto is_candidate = [](const UserEquipment& u, const BaseStation& b,
-                               const LinkStats& l) {
-    return l.in_coverage && b.hosts(u.service) && l.n_rrbs <= b.num_rrbs &&
-           u.cru_demand <= b.cru_capacity[u.service.idx()];
-  };
-
-  if (dense_links_) {
-    links_.resize(nu * nb);
-    for (std::size_t ui = 0; ui < nu; ++ui) {
-      const UserEquipment& u = data_.ues[ui];
-      for (std::size_t bi = 0; bi < nb; ++bi) {
-        const BaseStation& b = data_.bss[bi];
-        const double d = distance_m(u.position, b.position);
-        if (d > data_.coverage_radius_m) continue;  // stays all-zero
-        const LinkStats l = compute_link(u, b, d);
-        links_[ui * nb + bi] = l;
-        if (is_candidate(u, b, l)) {
-          candidates_.push_back(BsId{static_cast<std::uint32_t>(bi)});
-          cand_price_.push_back(b.price_multiplier *
-                                cru_price(data_.pricing, l.distance_m, u.sp == b.sp));
-          cand_rrbs_.push_back(l.n_rrbs);
-        }
-      }
-      cand_offsets_[ui + 1] = candidates_.size();
-    }
-    return;
-  }
-
-  // Sparse build: hash BS positions into coverage-radius cells, then per
-  // UE examine only the 3×3 block — O(U·k̄) link computations and memory
-  // instead of O(U·B).
+  // Per UE, examine only the BSs in its 3×3 cell block: O(U·k̄) link
+  // computations and memory instead of O(U·B). Every in-radius pair gets
+  // a row entry, in BS order; one the radio cannot serve at all (zero
+  // rate) is stored out of coverage. Candidate rule: coverage + service
+  // hosted + radio demand individually satisfiable + enough capacity for
+  // the demand.
   const BsGrid grid(data_.bss, data_.coverage_radius_m);
-  link_offsets_.assign(nu + 1, 0);
-  std::vector<std::uint32_t> nearby;
+  std::vector<std::pair<std::uint32_t, double>> in_radius;  // (BS, distance)
+  in_radius.reserve(data_.bss.size());
+  // Link rows grow once per UE, not once per entry, to the power-of-two
+  // capacities push_back would reach (other sizes raise the peak RSS).
+  const auto make_room = [&in_radius](auto& row) {
+    if (row.size() + in_radius.size() > row.capacity())
+      row.reserve(std::bit_ceil(row.size() + in_radius.size()));
+  };
   for (std::size_t ui = 0; ui < nu; ++ui) {
     const UserEquipment& u = data_.ues[ui];
-    grid.neighbors(u.position, nearby);
-    for (const std::uint32_t bi : nearby) {
+    in_radius.clear();
+    grid.for_each_near(u.position, [&](std::uint32_t bi) {
+      const double d = distance_m(u.position, data_.bss[bi].position);
+      if (d <= data_.coverage_radius_m) in_radius.emplace_back(bi, d);
+    });
+    std::sort(in_radius.begin(), in_radius.end());
+    make_room(links_);
+    make_room(link_cols_);
+    for (const auto& [bi, d] : in_radius) {
       const BaseStation& b = data_.bss[bi];
-      const double d = distance_m(u.position, b.position);
-      if (d > data_.coverage_radius_m) continue;
-      const LinkStats l = compute_link(u, b, d);
+      LinkStats l;
+      l.distance_m = d;
+      l.sinr = sinr(data_.channel, l.distance_m, data_.ofdma.rrb_bandwidth_hz, u.id.value,
+                    b.id.value);
+      l.rrb_rate_bps = rrb_rate_bps(data_.ofdma.rrb_bandwidth_hz, l.sinr);
+      l.in_coverage = l.rrb_rate_bps > 0.0;
+      if (l.in_coverage) l.n_rrbs = rrbs_needed(u.rate_demand_bps, l.rrb_rate_bps);
       links_.push_back(l);
       link_cols_.push_back(bi);
-      if (is_candidate(u, b, l)) {
+      if (l.in_coverage && b.hosts(u.service) && l.n_rrbs <= b.num_rrbs &&
+          u.cru_demand <= b.cru_capacity[u.service.idx()]) {
         candidates_.push_back(BsId{bi});
         cand_price_.push_back(b.price_multiplier *
                               cru_price(data_.pricing, l.distance_m, u.sp == b.sp));

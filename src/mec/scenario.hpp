@@ -3,9 +3,10 @@
 //
 // A Scenario is immutable once built; algorithms read it and track the
 // mutable resource state separately (mec/resources.hpp). All per-(UE, BS)
-// quantities — distance, SINR, per-RRB rate, RRB demand — are precomputed
-// at construction so that algorithms and the decentralized runtime agree
-// on the channel exactly.
+// quantities of in-radius pairs — distance, SINR, per-RRB rate, RRB
+// demand — are precomputed at construction, in one CSR row per UE, so
+// that algorithms and the decentralized runtime agree on the channel
+// exactly.
 #pragma once
 
 #include <algorithm>
@@ -56,22 +57,16 @@ struct UserEquipment {
   double rate_demand_bps = 0.0;  ///< w_u
 };
 
-/// Precomputed uplink statistics for one (UE, BS) pair.
+/// Precomputed uplink statistics for one (UE, BS) pair. A pair beyond the
+/// coverage radius is all zeros; a pair within it that the radio cannot
+/// serve at all (zero rate) keeps its distance and SINR but is out of
+/// coverage with n_rrbs = 0.
 struct LinkStats {
   double distance_m = 0.0;
   double sinr = 0.0;          ///< λ(u,i), linear
   double rrb_rate_bps = 0.0;  ///< e(u,i), Eq. 2
   std::uint32_t n_rrbs = 0;   ///< n(u,i), Eq. 3 (0 if out of coverage)
-  bool in_coverage = false;   ///< within the coverage radius
-};
-
-/// Link-matrix storage strategy (a construction detail, not serialized).
-/// Both strategies produce identical link stats, candidate sets, and
-/// coverage counts — tests/mec/scenario_test.cpp proves it per config.
-enum class LinkBuild {
-  kAuto,    ///< dense below a size threshold, sparse above
-  kDense,   ///< |U|×|B| matrix, O(1) lookup
-  kSparse,  ///< spatial-hash build + CSR rows of in-coverage links only
+  bool in_coverage = false;   ///< within the coverage radius, nonzero rate
 };
 
 /// Plain-data inputs to Scenario construction. Generators (src/workload)
@@ -86,10 +81,9 @@ struct ScenarioData {
   PricingConfig pricing;
   /// A BS covers a UE iff their distance is at most this (see DESIGN.md).
   double coverage_radius_m = 500.0;
-  LinkBuild link_build = LinkBuild::kAuto;
 };
 
-/// Immutable problem instance with derived link matrix and candidate sets.
+/// Immutable problem instance with derived link rows and candidate sets.
 ///
 /// Throws ContractViolation if the data is inconsistent (non-contiguous
 /// ids, out-of-range SP/service references, no SPs or services, or a
@@ -119,15 +113,18 @@ class Scenario {
   const PricingConfig& pricing() const { return data_.pricing; }
   double coverage_radius_m() const { return data_.coverage_radius_m; }
 
-  /// Precomputed link statistics for any (u, i) pair. Out-of-coverage
-  /// pairs yield the canonical zero stats (in_coverage = false,
-  /// n_rrbs = 0) under either storage strategy.
+  /// Precomputed link statistics for any (u, i) pair: a binary search of
+  /// u's link row. Pairs beyond the coverage radius yield the canonical
+  /// zero stats (in_coverage = false, n_rrbs = 0). Hot loops never call
+  /// this: a proposal carries n(u,i) from the candidate row.
   const LinkStats& link(UeId u, BsId i) const {
-    if (dense_links_) return links_[u.idx() * num_bss() + i.idx()];
-    const auto* begin = link_cols_.data() + link_offsets_[u.idx()];
-    const auto* end = link_cols_.data() + link_offsets_[u.idx() + 1];
-    const auto* it = std::lower_bound(begin, end, i.value);
-    if (it == end || *it != i.value) return kNoLink;
+    // Branch-free search for the last entry <= i: rows are a few dozen
+    // entries at most, where a mispredicted branch costs more than a step.
+    const std::uint32_t* it = link_cols_.data() + link_offsets_[u.idx()];
+    std::size_t n = link_offsets_[u.idx() + 1] - link_offsets_[u.idx()];
+    if (n == 0) return kNoLink;
+    for (; n > 1; n -= n / 2) it = it[n / 2] <= i.value ? it + n / 2 : it;
+    if (*it != i.value) return kNoLink;
     return links_[static_cast<std::size_t>(it - link_cols_.data())];
   }
 
@@ -180,10 +177,8 @@ class Scenario {
   static const LinkStats kNoLink;  // all-zero, in_coverage = false
 
   ScenarioData data_;
-  /// dense: |U| × |B| row-major. sparse: in-coverage entries only, CSR —
-  /// row u is links_[link_offsets_[u] .. link_offsets_[u+1]) with BS ids
-  /// (sorted ascending) in the parallel link_cols_.
-  bool dense_links_ = true;
+  /// In-radius pairs only, CSR: row u is links_[link_offsets_[u] ..
+  /// link_offsets_[u+1]) with BS ids (ascending) in the parallel link_cols_.
   std::vector<LinkStats> links_;
   std::vector<std::uint32_t> link_cols_;
   std::vector<std::size_t> link_offsets_;
@@ -198,8 +193,8 @@ class Scenario {
 
 /// Spatial region partition for the sharded decentralized runtime
 /// (core/sharded.cpp). BSs are assigned to equal-width vertical strips
-/// over the BS bounding box (the same geometry the spatial-hash link
-/// build buckets by); each UE is then classified purely from the regions
+/// over the BS bounding box (the same geometry the link build's cell
+/// index buckets by); each UE is then classified purely from the regions
 /// of its candidate set — geometry decides where *BSs* live, coverage
 /// decides where *UEs* belong:
 ///   * interior — every candidate BS falls in one region; the UE's whole

@@ -84,9 +84,12 @@ std::string_view to_string(ChurnEventKind kind) {
 }
 
 std::size_t ChurnConfig::steady_state_target() const {
+  // Clamped in floating point (to 2^53, exact in a double) so the cast is
+  // defined for every finite rate and dwell.
+  constexpr double kMaxTarget = 9007199254740992.0;
   const double target = arrival_rate_hz * mean_dwell_s;
   if (!(target > 0.0)) return 0;
-  return static_cast<std::size_t>(target + 0.5);
+  return static_cast<std::size_t>(std::min(target + 0.5, kMaxTarget));
 }
 
 ChurnTimeline build_churn_timeline(const ChurnConfig& config) {
@@ -122,7 +125,9 @@ ChurnTimeline build_churn_timeline(const ChurnConfig& config) {
     heap.push(Pending{time, seq++, kind, ue, chained});
   };
 
-  for (std::size_t k = 0; k < config.prefill; ++k)
+  // Prefill arrivals all sit at t = 0 ahead of every later push, so only
+  // the first horizon_events of them can ever be applied.
+  for (std::size_t k = 0; k < std::min(config.prefill, config.horizon_events); ++k)
     push(0.0, ChurnEventKind::kArrival, next_ue++);
   if (config.arrival_rate_hz > 0.0)
     push(exp_draw(arrival_rng, inter_arrival_mean), ChurnEventKind::kArrival,
@@ -215,7 +220,6 @@ ChurnTimeline build_churn_timeline(const ChurnConfig& config) {
   data.ofdma = base.ofdma();
   data.pricing = base.pricing();
   data.coverage_radius_m = base.coverage_radius_m();
-  data.link_build = config.deployment.link_build;
   return ChurnTimeline{Scenario(std::move(data)), std::move(events), next_ue};
 }
 

@@ -79,7 +79,8 @@ struct ChurnConfig {
   /// Mean time between waypoint re-association events per active UE;
   /// 0 disables mobility (static dwellers).
   double mean_move_interval_s = 0.0;
-  /// UEs admitted as arrivals at t = 0 (these count toward the horizon).
+  /// UEs admitted as arrivals at t = 0 (these count toward the horizon,
+  /// so at most horizon_events of them arrive).
   /// steady_state_target() is the natural choice for steady-state runs.
   std::size_t prefill = 0;
 
@@ -122,7 +123,8 @@ struct ChurnConfig {
   /// deployment's area at timeline build.
   RandomWaypointConfig waypoint;
 
-  /// λ × mean dwell, rounded — the expected steady-state population.
+  /// λ × mean dwell, rounded — the expected steady-state population —
+  /// at most 2^53.
   std::size_t steady_state_target() const;
 };
 

@@ -81,15 +81,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
           std::vector<double> values(algos.size());
           for (std::size_t ai = 0; ai < algos.size(); ++ai) {
             const Allocation alloc = algos[ai]->allocate(scenario);
-            if (spec.check_feasible) {
-              const FeasibilityReport report = check_feasibility(scenario, alloc);
-              DMRA_REQUIRE_MSG(report.ok,
-                               algos[ai]->name() + " produced an infeasible " +
-                                   "allocation: " +
-                                   (report.violations.empty()
-                                        ? std::string("?")
-                                        : report.violations.front()));
-            }
+            const FeasibilityReport report = check_feasibility(scenario, alloc);
+            DMRA_REQUIRE_MSG(report.ok, algos[ai]->name() + " produced an infeasible " +
+                                            "allocation: " +
+                                            (report.violations.empty()
+                                                 ? std::string("?")
+                                                 : report.violations.front()));
             values[ai] = metric(evaluate(scenario, alloc));
           }
           return values;

@@ -37,10 +37,6 @@ struct ExperimentSpec {
 
   std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
 
-  /// Re-validate every allocation against Eq. 12–16; a violation throws.
-  /// Leave on: it turns every bench run into a system test.
-  bool check_feasible = true;
-
   /// Worker threads for the per-seed replications of each sweep point.
   /// 0 = hardware concurrency; 1 = serial. Results — including traced
   /// exports when a recorder is installed (obs/shard.hpp) — are
@@ -76,8 +72,9 @@ struct ExperimentResult {
   std::string to_gnuplot(const std::string& data_filename) const;
 };
 
-/// Run the sweep. Throws ContractViolation on spec misuse or (when
-/// check_feasible) on an infeasible allocation.
+/// Run the sweep. Every allocation is re-validated against Eq. 12–16, which
+/// turns every bench run into a system test. Throws ContractViolation on
+/// spec misuse or on an infeasible allocation.
 ExperimentResult run_experiment(const ExperimentSpec& spec);
 
 /// Convenience: seeds {1..n}.

@@ -100,7 +100,6 @@ Scenario generate_scenario(const ScenarioConfig& cfg, std::uint64_t seed) {
   data.ofdma = cfg.ofdma;
   data.pricing = cfg.pricing;
   data.coverage_radius_m = cfg.coverage_radius_m;
-  data.link_build = cfg.link_build;
 
   for (std::size_t k = 0; k < cfg.num_sps; ++k)
     data.sps.push_back({SpId{static_cast<std::uint32_t>(k)}, "SP-" + std::to_string(k)});
@@ -209,11 +208,6 @@ JsonObject scenario_config_json(const ScenarioConfig& cfg) {
   pricing["min_distance_m"] = cfg.pricing.min_distance_m;
   o["pricing"] = std::move(pricing);
   o["interference_activity_factor"] = cfg.interference_activity_factor;
-  switch (cfg.link_build) {
-    case LinkBuild::kAuto: o["link_build"] = "auto"; break;
-    case LinkBuild::kDense: o["link_build"] = "dense"; break;
-    case LinkBuild::kSparse: o["link_build"] = "sparse"; break;
-  }
   return o;
 }
 

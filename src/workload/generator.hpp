@@ -79,10 +79,6 @@ struct ScenarioConfig {
   /// spread over the uplink band (see DESIGN.md §3). 0 = SNR-only channel.
   double interference_activity_factor = 0.0;
 
-  /// Link-matrix storage strategy (kAuto picks by deployment size). Both
-  /// strategies yield identical scenarios; exposed for tests/benchmarks.
-  LinkBuild link_build = LinkBuild::kAuto;
-
   std::size_t num_bss() const { return num_sps * bss_per_sp; }
   Rect area() const { return Rect{0.0, 0.0, area_side_m, area_side_m}; }
 };

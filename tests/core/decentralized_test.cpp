@@ -115,8 +115,7 @@ TEST(Decentralized, EquivalentUnderAblationConfigs) {
   cfg.num_ues = 200;
   const Scenario s = generate_scenario(cfg, 7);
   for (const DmraConfig dc : {DmraConfig{.prefer_same_sp = false},
-                              DmraConfig{.use_coverage_count = false},
-                              DmraConfig{.drop_rejected = true}}) {
+                              DmraConfig{.use_coverage_count = false}}) {
     EXPECT_EQ(run_decentralized_dmra(s, dc).dmra.allocation,
               solve_dmra(s, dc).allocation);
   }
@@ -224,8 +223,7 @@ TEST(Decentralized, EquivalentOnTheDenseDeployment) {
   // The benchmark's deployment (100 BSs in a 3000 m arena) at 4000 UEs,
   // about 1.1x what the MEC layer can serve: many rounds, and many UEs
   // settled long before the last broadcast. Also with three services per
-  // BS, where a covered UE that cannot be served is in no audience, and
-  // with one-shot rejections, where a decision erases a candidate.
+  // BS, where a covered UE that cannot be served is in no audience.
   ScenarioConfig dense;
   dense.bss_per_sp = 20;
   dense.area_side_m = 3000.0;
@@ -238,8 +236,7 @@ TEST(Decentralized, EquivalentOnTheDenseDeployment) {
     DmraConfig dmra;
   };
   for (const Case& c : {Case{"as is", dense, {}},
-                        Case{"services_per_bs = 3", partial_hosting, {}},
-                        Case{"drop_rejected", dense, {.drop_rejected = true}}}) {
+                        Case{"services_per_bs = 3", partial_hosting, {}}}) {
     SCOPED_TRACE(c.label);
     const Scenario s = generate_scenario(c.cfg, 8);
     const DmraResult direct = solve_dmra(s, c.dmra);

@@ -323,6 +323,10 @@ TEST(ProposeSoa, MatchesTwoPassReferenceOnRandomViews) {
               << "ue " << u.value << " rho " << rho;
           ASSERT_TRUE(std::ranges::equal(kernel.live(u), reference.live(u)))
               << "ue " << u.value << " rho " << rho;
+          if (got.bs) {  // the chosen slot, and the n(u,i) a BS selects on
+            ASSERT_EQ(s.candidates(u)[got.slot], *got.bs);
+            ASSERT_EQ(got.n_rrbs, s.link(u, *got.bs).n_rrbs);
+          }
           erased += before - kernel.live(u).size();
           exhausted += got.bs ? 0 : 1;
           ++calls;
@@ -354,10 +358,15 @@ BsLocalResources full_resources(const Scenario& s, BsId i) {
   return {s.bs(i).cru_capacity, s.bs(i).num_rrbs};
 }
 
+/// UE u's proposal to BS 0, reporting `f_u` and carrying n(u,0).
+ProposalInfo to_bs0(const Scenario& s, UeId u, std::uint32_t f_u) {
+  return {u, f_u, s.link(u, BsId{0}).n_rrbs};
+}
+
 TEST(BsSelect, SameSpPoolBeatsCrossSp) {
   const Scenario s = contested_scenario();
   const auto accepted = bs_select(s, BsId{0},
-                                  {{UeId{0}, 1}, {UeId{1}, 1}},
+                                  {to_bs0(s, UeId{0}, 1), to_bs0(s, UeId{1}, 1)},
                                   full_resources(s, BsId{0}));
   // One winner for the single contested service: the same-SP UE 1.
   EXPECT_EQ(accepted, (std::vector<UeId>{UeId{1}}));
@@ -366,7 +375,7 @@ TEST(BsSelect, SameSpPoolBeatsCrossSp) {
 TEST(BsSelect, SmallerFuWinsWithinPool) {
   const Scenario s = contested_scenario();
   const auto accepted = bs_select(s, BsId{0},
-                                  {{UeId{1}, 5}, {UeId{2}, 2}},
+                                  {to_bs0(s, UeId{1}, 5), to_bs0(s, UeId{2}, 2)},
                                   full_resources(s, BsId{0}));
   EXPECT_EQ(accepted, (std::vector<UeId>{UeId{2}}));
 }
@@ -378,7 +387,7 @@ TEST(BsSelect, FootprintBreaksFuTies) {
   ms.add_ue(sp, {10, 0}, ServiceId{0}, /*cru=*/5);
   ms.add_ue(sp, {10, 5}, ServiceId{0}, /*cru=*/3);
   const Scenario s = ms.build();
-  const auto accepted = bs_select(s, BsId{0}, {{UeId{0}, 1}, {UeId{1}, 1}},
+  const auto accepted = bs_select(s, BsId{0}, {to_bs0(s, UeId{0}, 1), to_bs0(s, UeId{1}, 1)},
                                   full_resources(s, BsId{0}));
   EXPECT_EQ(accepted, (std::vector<UeId>{UeId{1}}));  // smaller footprint
 }
@@ -392,7 +401,7 @@ TEST(BsSelect, OneWinnerPerServiceManyServicesAtOnce) {
   ms.add_ue(sp, {10, 5}, ServiceId{1});
   const Scenario s = ms.build();
   const auto accepted =
-      bs_select(s, BsId{0}, {{UeId{0}, 1}, {UeId{1}, 1}, {UeId{2}, 1}},
+      bs_select(s, BsId{0}, {to_bs0(s, UeId{0}, 1), to_bs0(s, UeId{1}, 1), to_bs0(s, UeId{2}, 1)},
                 full_resources(s, BsId{0}));
   // Service 0 → one of UE {0,1}; service 1 → UE 2.
   EXPECT_EQ(accepted.size(), 2u);
@@ -407,7 +416,7 @@ TEST(BsSelect, RadioTrimDropsLeastPreferred) {
   ms.add_ue(sp0, {10, 0}, ServiceId{0}, 4, 2e6);
   ms.add_ue(sp1, {10, 5}, ServiceId{1}, 4, 2e6);
   const Scenario s = ms.build();
-  const auto accepted = bs_select(s, BsId{0}, {{UeId{0}, 1}, {UeId{1}, 1}},
+  const auto accepted = bs_select(s, BsId{0}, {to_bs0(s, UeId{0}, 1), to_bs0(s, UeId{1}, 1)},
                                   full_resources(s, BsId{0}));
   // Both are sole winners of their services; only 1 RRB available: the
   // same-SP UE 0 survives the trim.
@@ -421,13 +430,22 @@ TEST(BsSelect, SkipsProposalsItCanNoLongerHonour) {
   ms.add_ue(sp, {10, 0}, ServiceId{0}, /*cru=*/4);  // bigger than capacity
   const Scenario s = ms.build();
   const auto accepted =
-      bs_select(s, BsId{0}, {{UeId{0}, 1}}, full_resources(s, BsId{0}));
+      bs_select(s, BsId{0}, {to_bs0(s, UeId{0}, 1)}, full_resources(s, BsId{0}));
   EXPECT_TRUE(accepted.empty());
+}
+
+TEST(BsSelect, ProposalWithoutRrbDemandIsContractViolation) {
+  // Every candidate slot carries n(u,i) > 0; a zero one came from no slot.
+  const Scenario s = contested_scenario();
+  EXPECT_THROW(
+      bs_select(s, BsId{0}, {ProposalInfo{UeId{0}, 1, 0}}, full_resources(s, BsId{0})),
+      ContractViolation);
 }
 
 TEST(BsSelect, OrderIndependent) {
   const Scenario s = contested_scenario();
-  std::vector<ProposalInfo> props{{UeId{0}, 3}, {UeId{1}, 2}, {UeId{2}, 2}};
+  std::vector<ProposalInfo> props{to_bs0(s, UeId{0}, 3), to_bs0(s, UeId{1}, 2),
+                                  to_bs0(s, UeId{2}, 2)};
   const auto a = bs_select(s, BsId{0}, props, full_resources(s, BsId{0}));
   std::reverse(props.begin(), props.end());
   const auto b = bs_select(s, BsId{0}, props, full_resources(s, BsId{0}));
@@ -439,7 +457,7 @@ TEST(BsSelect, AblationDisablesSameSpPreference) {
   DmraConfig cfg;
   cfg.prefer_same_sp = false;
   // Without the same-SP pool, the smaller-f_u proposer wins even cross-SP.
-  const auto accepted = bs_select(s, BsId{0}, {{UeId{0}, 1}, {UeId{1}, 4}},
+  const auto accepted = bs_select(s, BsId{0}, {to_bs0(s, UeId{0}, 1), to_bs0(s, UeId{1}, 4)},
                                   full_resources(s, BsId{0}), cfg);
   EXPECT_EQ(accepted, (std::vector<UeId>{UeId{0}}));
 }
@@ -450,7 +468,7 @@ TEST(BsSelect, AblationDisablesCoverageCount) {
   cfg.use_coverage_count = false;
   // UE 1 has the worse f_u but equal footprint and the smaller id among
   // same-SP proposers {1, 2}; without f_u it wins by id.
-  const auto accepted = bs_select(s, BsId{0}, {{UeId{1}, 9}, {UeId{2}, 1}},
+  const auto accepted = bs_select(s, BsId{0}, {to_bs0(s, UeId{1}, 9), to_bs0(s, UeId{2}, 1)},
                                   full_resources(s, BsId{0}), cfg);
   EXPECT_EQ(accepted, (std::vector<UeId>{UeId{1}}));
 }

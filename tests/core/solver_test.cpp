@@ -81,12 +81,6 @@ TEST(Solver, ContestedSlotGoesToSameSpUe) {
   EXPECT_TRUE(r.allocation.is_cloud(UeId{0}));
 }
 
-TEST(Solver, RespectsMaxRounds) {
-  const Scenario s = generate_scenario(ScenarioConfig{}, 3);
-  const DmraResult r = solve_dmra(s, {.rho = 100.0, .max_rounds = 2});
-  EXPECT_LE(r.rounds, 2u);
-}
-
 TEST(Solver, Deterministic) {
   ScenarioConfig cfg;
   cfg.num_ues = 300;
@@ -167,8 +161,7 @@ TEST(Solver, AblationSwitchesStillFeasible) {
   const Scenario s = generate_scenario(cfg, 29);
   for (const DmraConfig dc : {DmraConfig{.prefer_same_sp = false},
                               DmraConfig{.use_coverage_count = false},
-                              DmraConfig{.use_footprint = false},
-                              DmraConfig{.drop_rejected = true}}) {
+                              DmraConfig{.use_footprint = false}}) {
     const DmraResult r = solve_dmra(s, dc);
     EXPECT_TRUE(check_feasibility(s, r.allocation).ok);
   }

@@ -183,10 +183,10 @@ TEST(ScenarioValidation, RejectsPricingViolatingEq16) {
   EXPECT_THROW(ms.build(), ContractViolation);
 }
 
-// ---- sparse vs dense link storage ------------------------------------------
+// ---- the CSR link store against a brute-force reference -------------------
 
-/// Bitwise equality — the two strategies must agree to the last ulp, since
-/// algorithms branch on exact comparisons of these values.
+/// Bitwise equality — the store must agree with the reference to the last
+/// ulp, since algorithms branch on exact comparisons of these values.
 bool bit_equal(const LinkStats& a, const LinkStats& b) {
   return std::memcmp(&a.distance_m, &b.distance_m, sizeof a.distance_m) == 0 &&
          std::memcmp(&a.sinr, &b.sinr, sizeof a.sinr) == 0 &&
@@ -194,27 +194,51 @@ bool bit_equal(const LinkStats& a, const LinkStats& b) {
          a.n_rrbs == b.n_rrbs && a.in_coverage == b.in_coverage;
 }
 
-void expect_equivalent(const Scenario& dense, const Scenario& sparse,
-                       const std::string& label) {
-  ASSERT_EQ(dense.num_ues(), sparse.num_ues()) << label;
-  ASSERT_EQ(dense.num_bss(), sparse.num_bss()) << label;
-  for (std::size_t ui = 0; ui < dense.num_ues(); ++ui) {
-    const UeId u{static_cast<std::uint32_t>(ui)};
-    ASSERT_EQ(dense.coverage_count(u), sparse.coverage_count(u)) << label;
-    const auto dc = dense.candidates(u);
-    const auto sc = sparse.candidates(u);
-    ASSERT_TRUE(std::equal(dc.begin(), dc.end(), sc.begin(), sc.end())) << label;
-    for (std::size_t bi = 0; bi < dense.num_bss(); ++bi) {
-      const BsId b{static_cast<std::uint32_t>(bi)};
-      ASSERT_TRUE(bit_equal(dense.link(u, b), sparse.link(u, b)))
-          << label << " ue=" << ui << " bs=" << bi;
+/// One pair's link from the radio model directly, with no spatial index:
+/// all zeros beyond the radius, out of coverage at zero rate.
+LinkStats reference_link(const Scenario& s, const UserEquipment& e, const BaseStation& b) {
+  LinkStats l;
+  const double d = distance_m(e.position, b.position);
+  if (d > s.coverage_radius_m()) return l;
+  l.distance_m = d;
+  l.sinr = sinr(s.channel(), d, s.ofdma().rrb_bandwidth_hz, e.id.value, b.id.value);
+  l.rrb_rate_bps = rrb_rate_bps(s.ofdma().rrb_bandwidth_hz, l.sinr);
+  l.in_coverage = l.rrb_rate_bps > 0.0;
+  if (l.in_coverage) l.n_rrbs = rrbs_needed(e.rate_demand_bps, l.rrb_rate_bps);
+  return l;
+}
+
+/// Every (UE, BS) pair of `s` against the O(U·B) reference: link stats bit
+/// for bit, and each UE's candidates, prices and RRB rows.
+void expect_matches_reference(const Scenario& s, const std::string& label) {
+  for (const UserEquipment& e : s.ues()) {
+    std::vector<BsId> cands;
+    std::vector<double> prices;
+    std::vector<std::uint32_t> rrbs;
+    for (const BaseStation& b : s.bss()) {
+      const LinkStats ref = reference_link(s, e, b);
+      ASSERT_TRUE(bit_equal(s.link(e.id, b.id), ref))
+          << label << " ue=" << e.id.value << " bs=" << b.id.value;
+      if (ref.in_coverage && b.hosts(e.service) && ref.n_rrbs <= b.num_rrbs &&
+          e.cru_demand <= b.cru_capacity[e.service.idx()]) {
+        cands.push_back(b.id);
+        prices.push_back(b.price_multiplier * cru_price(s.pricing(), ref.distance_m, e.sp == b.sp));
+        rrbs.push_back(ref.n_rrbs);
+      }
     }
+    const auto sc = s.candidates(e.id);
+    const auto sp = s.candidate_prices(e.id);
+    const auto sr = s.candidate_rrbs(e.id);
+    ASSERT_EQ(s.coverage_count(e.id), cands.size()) << label << " ue=" << e.id.value;
+    ASSERT_TRUE(std::equal(sc.begin(), sc.end(), cands.begin(), cands.end())) << label;
+    ASSERT_TRUE(std::equal(sp.begin(), sp.end(), prices.begin(), prices.end())) << label;
+    ASSERT_TRUE(std::equal(sr.begin(), sr.end(), rrbs.begin(), rrbs.end())) << label;
   }
 }
 
 TEST(ScenarioLinkBuild, SparseMatchesDenseAcrossRandomConfigs) {
-  // Property test: 25 random deployments, each built with both storage
-  // strategies from the same (config, seed), compared over every pair.
+  // Property test: 25 random deployments, then the paper's (25 BSs) and
+  // the dense one (100 BSs on 3000 m), each compared over every pair.
   Rng rng("link-build-property", 7);
   for (int trial = 0; trial < 25; ++trial) {
     ScenarioConfig cfg;
@@ -226,12 +250,16 @@ TEST(ScenarioLinkBuild, SparseMatchesDenseAcrossRandomConfigs) {
     cfg.placement = rng.uniform_int(0, 1) == 0 ? PlacementMethod::kRegularGrid
                                                : PlacementMethod::kRandom;
     const std::uint64_t seed = static_cast<std::uint64_t>(trial) + 1;
-    cfg.link_build = LinkBuild::kDense;
-    const Scenario dense = generate_scenario(cfg, seed);
-    cfg.link_build = LinkBuild::kSparse;
-    const Scenario sparse = generate_scenario(cfg, seed);
-    expect_equivalent(dense, sparse, "trial " + std::to_string(trial));
+    expect_matches_reference(generate_scenario(cfg, seed), "trial " + std::to_string(trial));
   }
+  ScenarioConfig paper;
+  paper.num_ues = 800;
+  expect_matches_reference(generate_scenario(paper, 1), "paper");
+  ScenarioConfig dense;
+  dense.bss_per_sp = 20;
+  dense.area_side_m = 3000.0;
+  dense.num_ues = 4000;
+  expect_matches_reference(generate_scenario(dense, 1), "dense");
 }
 
 TEST(ScenarioLinkBuild, FarFinitePositionsStayInTheSparseGrid) {
@@ -244,7 +272,6 @@ TEST(ScenarioLinkBuild, FarFinitePositionsStayInTheSparseGrid) {
   ms.add_ue(sp, {1e300, 0.0}, ServiceId{0});
   ms.add_ue(sp, {-1e300, 1e300}, ServiceId{0});
   ms.add_ue(sp, {10.0, 0.0}, ServiceId{0});
-  ms.data().link_build = LinkBuild::kSparse;
   const Scenario s = ms.build();
   EXPECT_TRUE(s.candidates(UeId{0}).empty());
   EXPECT_TRUE(s.candidates(UeId{1}).empty());
@@ -254,23 +281,20 @@ TEST(ScenarioLinkBuild, FarFinitePositionsStayInTheSparseGrid) {
 
 TEST(ScenarioLinkBuild, AllOutOfCoverageDegenerateScenario) {
   // Degenerate case: a radius so small no BS covers any UE — every link
-  // must come back as the canonical zero stats under both strategies.
+  // must come back as the canonical zero stats.
   ScenarioConfig cfg;
   cfg.num_ues = 40;
   cfg.coverage_radius_m = 1e-3;
-  for (const LinkBuild build : {LinkBuild::kDense, LinkBuild::kSparse}) {
-    cfg.link_build = build;
-    const Scenario s = generate_scenario(cfg, 11);
-    for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
-      const UeId u{static_cast<std::uint32_t>(ui)};
-      EXPECT_TRUE(s.candidates(u).empty());
-      for (std::size_t bi = 0; bi < s.num_bss(); ++bi) {
-        const LinkStats& l = s.link(u, BsId{static_cast<std::uint32_t>(bi)});
-        EXPECT_FALSE(l.in_coverage);
-        EXPECT_EQ(l.n_rrbs, 0u);
-        EXPECT_EQ(l.sinr, 0.0);
-        EXPECT_EQ(l.rrb_rate_bps, 0.0);
-      }
+  const Scenario s = generate_scenario(cfg, 11);
+  for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
+    const UeId u{static_cast<std::uint32_t>(ui)};
+    EXPECT_TRUE(s.candidates(u).empty());
+    for (std::size_t bi = 0; bi < s.num_bss(); ++bi) {
+      const LinkStats& l = s.link(u, BsId{static_cast<std::uint32_t>(bi)});
+      EXPECT_FALSE(l.in_coverage);
+      EXPECT_EQ(l.n_rrbs, 0u);
+      EXPECT_EQ(l.sinr, 0.0);
+      EXPECT_EQ(l.rrb_rate_bps, 0.0);
     }
   }
 }

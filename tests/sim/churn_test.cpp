@@ -62,6 +62,34 @@ TEST(Churn, TimelineIsDeterministic) {
   EXPECT_EQ(a.universe.num_ues(), arrivals + moves);
 }
 
+TEST(Churn, HugeRatePrefillStopsAtTheHorizon) {
+  // λ × dwell past every count: the target clamps to 2^53 instead of an
+  // out-of-range cast, and a prefill beyond the horizon builds the same
+  // timeline as a prefill of exactly the horizon — prefill arrivals all
+  // sit at t = 0 ahead of everything else, so no later one is applied.
+  ChurnConfig cfg = small_config();
+  cfg.arrival_rate_hz = 1e30;
+  cfg.horizon_events = 50;
+  EXPECT_EQ(cfg.steady_state_target(), std::size_t{1} << 53);
+  cfg.prefill = cfg.steady_state_target();
+  const ChurnTimeline huge = build_churn_timeline(cfg);
+  cfg.prefill = cfg.horizon_events;
+  const ChurnTimeline exact = build_churn_timeline(cfg);
+  ASSERT_EQ(huge.events.size(), 50u);
+  ASSERT_EQ(exact.events.size(), 50u);
+  for (std::size_t i = 0; i < huge.events.size(); ++i) {
+    EXPECT_EQ(huge.events[i].kind, ChurnEventKind::kArrival);
+    EXPECT_EQ(huge.events[i].ue, i);
+    EXPECT_EQ(huge.events[i].time_s, 0.0);
+    EXPECT_EQ(huge.events[i].slot, exact.events[i].slot);
+  }
+  EXPECT_EQ(huge.universe.num_ues(), 50u);
+  EXPECT_EQ(huge.num_logical_ues, exact.num_logical_ues);
+  cfg.prefill = cfg.steady_state_target();
+  const ChurnResult r = run_churn(cfg);
+  EXPECT_EQ(r.stats.events, 50u);
+}
+
 TEST(Churn, RunIsDeterministicAndTracingInvariant) {
   const ChurnConfig cfg = small_config();
   const ChurnResult untraced = run_churn(cfg);

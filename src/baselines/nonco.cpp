@@ -15,16 +15,20 @@ namespace {
 using RankedProposal = std::pair<std::uint32_t, UeId>;
 
 /// Max-SINR candidate of u among `cands` (ties toward the smaller id) and
-/// its n(u,i), read from the same link.
+/// its n(u,i), read from the same link. `cands` ascends and is a
+/// subsequence of u's link row, so one forward walk finds every link.
 std::optional<std::pair<BsId, std::uint32_t>> best_sinr(const Scenario& scenario, UeId u,
                                                         const std::vector<BsId>& cands) {
   if (cands.empty()) return std::nullopt;
-  BsId best = cands.front();
-  const LinkStats* best_link = &scenario.link(u, best);
-  for (std::size_t k = 1; k < cands.size(); ++k) {
-    const LinkStats& l = scenario.link(u, cands[k]);
-    if (l.sinr > best_link->sinr) {
-      best = cands[k];
+  const Scenario::LinkRow row = scenario.link_row(u);
+  std::size_t j = 0;
+  BsId best{};
+  const LinkStats* best_link = nullptr;
+  for (const BsId c : cands) {
+    while (row.bss[j] != c.value) ++j;
+    const LinkStats& l = row.stats[j];
+    if (best_link == nullptr || l.sinr > best_link->sinr) {
+      best = c;
       best_link = &l;
     }
   }

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   dmra::Table table({"UEs", "DMRA rounds", "bus rounds", "messages", "msgs/UE",
                      "identical to direct?"});
   dmra::Table split({"UEs", "UE>SP requests", "SP>BS proposals", "BS>SP decisions",
-                     "SP>UE decisions", "BS>UE levels", "BS>SP levels", "SP>UE levels"});
+                     "SP>UE decisions", "BS publications", "UE receptions"});
   for (std::size_t ues : {100u, 250u, 500u, 1000u}) {
     dmra::ScenarioConfig cfg;
     cfg.num_ues = ues;
@@ -40,18 +40,18 @@ int main(int argc, char** argv) {
     const dmra::MessageMix& m = dec.messages;
     split.add_row({std::to_string(ues), std::to_string(m.requests_ue_sp),
                    std::to_string(m.proposals_sp_bs), std::to_string(m.decisions_bs_sp),
-                   std::to_string(m.decisions_sp_ue), std::to_string(m.levels_bs_ue),
-                   std::to_string(m.levels_bs_sp), std::to_string(m.levels_sp_ue)});
+                   std::to_string(m.decisions_sp_ue), std::to_string(m.publications),
+                   std::to_string(m.receptions)});
     if (!identical) return 1;
   }
   std::cout << table.to_aligned() << "\nthe same messages by kind and hop:\n\n"
             << split.to_aligned()
-            << "\nEvery row's allocation is bit-identical to the in-memory solver. The\n"
-               "BS>UE levels are the bootstrap; after it a BS sends its levels once to\n"
-               "each SP with subscribers among its candidate UEs, and the SP forwards\n"
-               "them only to the UEs it has not relayed an accept to. What is still\n"
-               "sent without need: levels forwarded to UEs that have already fallen\n"
-               "back to the cloud, which their SP cannot tell from UEs still seeking.\n\n";
+            << "\nEvery row's allocation is bit-identical to the in-memory solver. A BS\n"
+               "publishes its levels once on its broadcast channel (the bootstrap, then\n"
+               "each round it answers proposals), one message however many UEs hear it;\n"
+               "the five send columns sum to the messages column. Receptions are not\n"
+               "sends: a UE still seeking reads its candidates' channels and counts one\n"
+               "reception per newer publication; matched and cloud UEs read nothing.\n\n";
 
   // Part 2: the same protocol on a lossy network, described by a fault
   // plan that only drops messages. Safety (feasibility, no double-commit)
@@ -79,9 +79,10 @@ int main(int argc, char** argv) {
                    std::to_string(r.bus.messages_dropped)});
   }
   std::cout << lossy.to_aligned()
-            << "\nreading: losses cost retry rounds and rebroadcast traffic, not\n"
-               "correctness — the BS-side ledger never double-commits, so every run\n"
-               "stays feasible. Under loss every BS rebroadcasts straight to its\n"
-               "whole audience each round, which is most of the extra traffic.\n";
+            << "\nreading: losses cost retry rounds and traffic, not correctness — the\n"
+               "BS-side ledger never double-commits, so every run stays feasible. Under\n"
+               "loss every live BS publishes each round (one message each), and each\n"
+               "channel read is lost on its own draw; retried requests and decisions are\n"
+               "most of the extra traffic.\n";
   return 0;
 }

@@ -3,17 +3,17 @@
 //
 // Roles (paper Fig. 1):
 //  * UE agents hold only their own demand, their candidate list, and the
-//    resource levels their covering BSs last broadcast; they pick proposals
-//    from that local view (Eq. 17) and route them through their SP.
+//    resource levels they last read from their covering BSs; they pick
+//    proposals from that local view (Eq. 17) and route them through their
+//    SP.
 //  * SP agents are the mandatory middle layer: they relay offload requests
 //    up to BSs and decisions back down to UEs (a UE never talks to a BS
-//    directly — §III-A). Because they relay every decision, they know
-//    which subscribers already hold an accept, and they forward a BS's
-//    resource levels only to the others.
+//    directly — §III-A).
 //  * BS agents know only their own remaining CRUs/RRBs; each round they
 //    apply the Alg. 1 acceptance rule to the proposals in their inbox,
-//    reply accept/reject, and broadcast their new resource levels: once
-//    to each SP with subscribers among their candidate UEs.
+//    reply accept/reject, and broadcast their new resource levels: one
+//    publication on their channel of the bus (net/bus.hpp), however many
+//    UEs read it.
 //
 // The decision logic is the shared code in core/preference.hpp and every
 // decision is order-independent, so this runtime provably computes the
@@ -24,25 +24,24 @@
 // engine (core/runtime_detail.hpp) over every UE and BS on one bus;
 // run_sharded_dmra runs the same engine once per region, each over its
 // region's member UEs and BSs on a bus of its own. An engine run's
-// agents are exactly its scope's members plus every SP's relay, and a
-// BS's broadcast audience is the member UEs that list it as a candidate
-// (Scenario::candidates) — a covered UE that cannot be served there
-// never reads its levels, so it is not sent them. The bootstrap reaches
-// the whole audience directly; later broadcasts go through the SPs, which
-// skip the UEs they have relayed an accept to. MessageMix counts the
-// messages of each kind and hop.
+// agents are exactly its scope's members plus every SP's relay. A UE
+// reads the channels of its candidates (Scenario::candidates) while it is
+// still seeking, and stops once it is matched or at the cloud: a settled
+// UE never uses the levels again. MessageMix counts the messages of each
+// kind and hop, and the receptions.
 //
 // Fault tolerance: attach a FaultPlan (net/fault_plan.hpp) through
 // NetworkConditions::faults and the runtime survives message loss,
 // duplication, delay, BS crashes, and capacity degradation — safe (always
 // a feasible allocation, no double-commit) and live (terminates). The
 // plan alone decides what is armed: every plan arms re-acks and
-// every-round rebroadcasts straight to the whole audience (a UE whose
-// accept was lost still needs levels, and crash suspicion needs matched
-// UEs to keep hearing their BS), and only BS outages add crash recovery
-// and a final repair pass. docs/RESILIENCE.md documents the full model;
-// with no plan (or a fault-free one) the run is byte-identical to the
-// unhardened runtime (golden-tested).
+// every-round publications (a lost read heals at the next one), and only
+// BS outages add crash recovery — a matched UE keeps reading its serving
+// BS's channel as a heartbeat — and a final repair pass. With link faults
+// each channel read takes its own loss and delay draws.
+// docs/RESILIENCE.md documents the full model; with no plan (or a
+// fault-free one) the run is byte-identical to the unhardened runtime
+// (golden-tested).
 #pragma once
 
 #include <cstdint>
@@ -86,22 +85,23 @@ struct AllocCounters {
 };
 
 /// The protocol's messages by kind and hop. Every send is counted once
-/// here, so the fields sum to BusStats::messages_sent (dropped sends
+/// here, so the send fields sum to BusStats::messages_sent (dropped sends
 /// included; duplicate copies the network injects are not sends).
 struct MessageMix {
   std::uint64_t requests_ue_sp = 0;   ///< offload requests, UE → its SP
   std::uint64_t proposals_sp_bs = 0;  ///< relayed proposals, SP → BS
   std::uint64_t decisions_bs_sp = 0;  ///< accept/reject, BS → the UE's SP
   std::uint64_t decisions_sp_ue = 0;  ///< relayed decisions, SP → UE
-  /// Resource levels a BS sends straight to its audience: the bootstrap,
-  /// and every broadcast under a fault plan.
-  std::uint64_t levels_bs_ue = 0;
-  std::uint64_t levels_bs_sp = 0;  ///< levels, BS → each SP with subscribers
-  std::uint64_t levels_sp_ue = 0;  ///< levels an SP forwards to UEs still seeking
+  /// Resource levels a BS posts on its broadcast channel, one send each
+  /// however many UEs read it: the bootstrap, each round it answers
+  /// proposals, and every round under a fault plan.
+  std::uint64_t publications = 0;
+  /// Channel reads that brought a UE levels newer than it held. Not sends:
+  /// left out of total().
+  std::uint64_t receptions = 0;
 
   std::uint64_t total() const {
-    return requests_ue_sp + proposals_sp_bs + decisions_bs_sp + decisions_sp_ue +
-           levels_bs_ue + levels_bs_sp + levels_sp_ue;
+    return requests_ue_sp + proposals_sp_bs + decisions_bs_sp + decisions_sp_ue + publications;
   }
   /// Field-wise sum, for merging several engine runs.
   MessageMix& operator+=(const MessageMix& o) {
@@ -109,9 +109,8 @@ struct MessageMix {
     proposals_sp_bs += o.proposals_sp_bs;
     decisions_bs_sp += o.decisions_bs_sp;
     decisions_sp_ue += o.decisions_sp_ue;
-    levels_bs_ue += o.levels_bs_ue;
-    levels_bs_sp += o.levels_bs_sp;
-    levels_sp_ue += o.levels_sp_ue;
+    publications += o.publications;
+    receptions += o.receptions;
     return *this;
   }
 };
@@ -130,9 +129,9 @@ struct DecentralizedResult {
 /// Optional network impairment for the protocol run. Under any fault plan
 /// the protocol stays safe (no double-commit, always a feasible
 /// allocation) and live (terminates), at the cost of allocation quality:
-/// BSs re-ack duplicate proposals idempotently, rebroadcast their
-/// resource levels every round, and UEs fall back to the static BS
-/// capacities for candidates they have not heard from yet.
+/// BSs re-ack duplicate proposals idempotently, publish their resource
+/// levels every round, and UEs fall back to the static BS capacities for
+/// candidates they have not heard from yet.
 struct NetworkConditions {
   /// Seed for the bus's fault streams (drop/duplicate/delay draws).
   std::uint64_t seed = 0;

@@ -6,11 +6,11 @@
 //
 // Parallel-safety inventory (everything a shard touches concurrently):
 //  * Scenario, RegionPartition — immutable, shared read-only.
-//  * view_crus / view_rrbs — flat per-candidate-slot arrays; a slot
-//    belongs to exactly one UE and an interior UE to exactly one shard,
-//    so writes are disjoint by construction.
+//  * views — flat per-candidate-slot HeldLevels; a slot belongs to
+//    exactly one UE and an interior UE to exactly one shard, so writes are
+//    disjoint by construction.
 //  * LiveCandidates — per-UE rows in a flat pool; same disjointness.
-//  * Everything else (bus, agents, snapshot ring, workspaces, the run's
+//  * Everything else (bus and its channels, agents, workspaces, the run's
 //    own allocation) is local to the engine run.
 // No locks, no atomics; the parallel_map barrier publishes all writes.
 //
@@ -52,8 +52,7 @@ ShardedResult run_sharded_dmra(const Scenario& scenario, const DmraConfig& confi
   result.shard.cloud_only_ues = part.cloud_ues.size();
 
   // Shared-by-disjoint-writes state (see the file comment).
-  std::vector<std::uint32_t> view_crus(scenario.num_candidate_slots());
-  std::vector<std::uint32_t> view_rrbs(scenario.num_candidate_slots());
+  std::vector<runtime_detail::HeldLevels> views(scenario.num_candidate_slots());
   LiveCandidates b_u;
   b_u.build(scenario, part.region_ues);
 
@@ -66,7 +65,7 @@ ShardedResult run_sharded_dmra(const Scenario& scenario, const DmraConfig& confi
             scenario, config, reliable,
             {part.ues_in(region), part.bss_in(region), "core/sharded",
              "core/sharded:bootstrap"},
-            view_crus, view_rrbs, b_u);
+            views, b_u);
       });
 
   // ---- Merge in region order (deterministic for every jobs value).

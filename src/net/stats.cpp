@@ -11,7 +11,8 @@ std::string to_string(const BusStats& stats) {
   os << "rounds=" << stats.rounds << " sent=" << stats.messages_sent
      << " delivered=" << stats.messages_delivered << " dropped=" << stats.messages_dropped
      << " duplicated=" << stats.messages_duplicated
-     << " delayed=" << stats.messages_delayed;
+     << " delayed=" << stats.messages_delayed << " reads_dropped=" << stats.reads_dropped
+     << " reads_delayed=" << stats.reads_delayed;
   return os.str();
 }
 

@@ -130,6 +130,7 @@ std::string export_chrome_trace(const TraceRecorder& recorder) {
     args["trim_evictions"] = row.trim_evictions;
     args["broadcasts"] = row.broadcasts;
     args["messages"] = row.messages;
+    args["receptions"] = row.receptions;
     args["unmatched_ues"] = row.unmatched_ues;
     args["cumulative_profit"] = row.cumulative_profit;
     args["cru_headroom"] = row.cru_headroom;
@@ -184,7 +185,7 @@ std::string export_chrome_trace(const TraceRecorder& recorder) {
         name = to_string(e.kind);
         break;
       case EventKind::kBroadcast:
-        args["audience"] = e.value;
+        args["stamp"] = e.value;
         name = to_string(e.kind);
         break;
       case EventKind::kPhase:

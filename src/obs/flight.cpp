@@ -226,6 +226,7 @@ JsonObject round_json(const RoundRow& r) {
   out["trim_evictions"] = r.trim_evictions;
   out["broadcasts"] = r.broadcasts;
   out["messages"] = r.messages;
+  out["receptions"] = r.receptions;
   out["unmatched_ues"] = r.unmatched_ues;
   out["cumulative_profit"] = r.cumulative_profit;
   out["cru_headroom"] = r.cru_headroom;

@@ -115,13 +115,16 @@ void publish_bus_stats(const BusStats& stats, MetricsRegistry& registry) {
   registry.add_counter("bus.messages_sent", stats.messages_sent);
   registry.add_counter("bus.messages_delivered", stats.messages_delivered);
   registry.add_counter("bus.messages_dropped", stats.messages_dropped);
-  // Duplication/delay counters exist only when those faults actually
-  // fired: unconditional zeros would change the deterministic metrics
-  // JSON of every pre-existing fault-free trace (a golden surface).
+  // Duplication, delay and read-fault counters exist only when those
+  // faults actually fired: unconditional zeros would change the
+  // deterministic metrics JSON of every fault-free trace (a golden
+  // surface).
   if (stats.messages_duplicated != 0)
     registry.add_counter("bus.messages_duplicated", stats.messages_duplicated);
   if (stats.messages_delayed != 0)
     registry.add_counter("bus.messages_delayed", stats.messages_delayed);
+  if (stats.reads_dropped != 0) registry.add_counter("bus.reads_dropped", stats.reads_dropped);
+  if (stats.reads_delayed != 0) registry.add_counter("bus.reads_delayed", stats.reads_delayed);
 }
 
 }  // namespace dmra::obs

@@ -160,9 +160,14 @@ TEST(Decentralized, MessageKindsSumToBusTotal) {
       run_decentralized_dmra(s, {}, {.seed = 5, .faults = &plan});
   ASSERT_GT(faulted.bus.messages_delayed, 0u);
   EXPECT_EQ(faulted.messages.total(), faulted.bus.messages_sent);
-  // Under faults every broadcast goes straight to the audience.
-  EXPECT_EQ(faulted.messages.levels_bs_sp, 0u);
-  EXPECT_EQ(faulted.messages.levels_sp_ue, 0u);
+  // Under faults every live BS publishes once in the bootstrap and once in
+  // every round's BS phase (one per matching round; the loop ends in a UE
+  // phase). BS 2 is down for the BS phases of rounds 2 to 5.
+  ASSERT_GE(faulted.dmra.rounds, 6u);
+  EXPECT_EQ(faulted.messages.publications, s.num_bss() * (1 + faulted.dmra.rounds) - 4);
+  // A lost read is not a reception.
+  EXPECT_GT(faulted.bus.reads_dropped, 0u);
+  EXPECT_GT(faulted.bus.reads_delayed, 0u);
 
   const ShardedResult sharded = run_sharded_dmra(s, {}, {.num_shards = 3});
   EXPECT_EQ(sharded.messages.total(), sharded.bus.messages_sent);
@@ -171,11 +176,10 @@ TEST(Decentralized, MessageKindsSumToBusTotal) {
 TEST(Decentralized, SettledUeHearsNoFurtherLevels) {
   // One BS and four UEs of one SP, every UE close enough to fit. Three
   // share service 0, so bs_select admits one of them per round; the
-  // service-1 UE is admitted in round 0 beside the first of them. Each
-  // round with proposals the BS sends its levels once to the SP, which
-  // relays the decisions first and then forwards the levels only to the
-  // UEs it has not relayed an accept to, so a UE accepted in round r
-  // hears no levels from round r on.
+  // service-1 UE is admitted in round 0 beside the first of them. The BS
+  // publishes its levels once in the bootstrap and once in each round with
+  // proposals, and a UE reads the channel only while it is still seeking:
+  // a UE accepted in round r hears no levels from round r + 1 on.
   test::MiniScenario ms;
   const SpId sp = ms.add_sp();
   ms.add_bs(sp, {0.0, 0.0});
@@ -195,35 +199,88 @@ TEST(Decentralized, SettledUeHearsNoFurtherLevels) {
   EXPECT_EQ(r.dmra.proposals_sent, 4u + 2u + 1u);
 
   const MessageMix& m = r.messages;
-  EXPECT_EQ(m.levels_bs_ue, 4u);  // the bootstrap, to the whole audience
   EXPECT_EQ(m.requests_ue_sp, 7u);
   EXPECT_EQ(m.proposals_sp_bs, 7u);
   EXPECT_EQ(m.decisions_bs_sp, 7u);
   EXPECT_EQ(m.decisions_sp_ue, 7u);
-  EXPECT_EQ(m.levels_bs_sp, 3u);  // one per round with proposals
-  // Round 0 leaves 2 seeking, round 1 leaves 1, round 2 leaves none.
-  // Forwarding to every subscriber would make this 12; forwarding to
-  // those not accepted before the round, 4 + 2 + 1 = 7.
-  EXPECT_EQ(m.levels_sp_ue, 2u + 1u + 0u);
-  EXPECT_EQ(m.total(), 38u);
-  EXPECT_EQ(r.bus.messages_sent, 38u);
+  EXPECT_EQ(m.publications, 1u + 3u);  // the bootstrap, then one per round with proposals
+  // Round 0 reads the bootstrap with 4 seeking, round 1 the round-0
+  // publication with 2, round 2 the round-1 one with 1; the UE accepted in
+  // round 2 hears the round-2 publication no more. Delivering every
+  // publication to the whole audience would make this 16.
+  EXPECT_EQ(m.receptions, 4u + 2u + 1u);
+  EXPECT_EQ(m.total(), 4u * 7u + 4u);
+  EXPECT_EQ(r.bus.messages_sent, 32u);
 
   // The same split per round: proposals, relays and decisions at four
-  // messages per proposer, one BS → SP update, then the forwarded ones.
+  // messages per proposer, then one publication; the bootstrap's
+  // publication precedes round 0.
   const auto rows = rec.rows();
   ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].messages, 4u * 4u + 1u + 2u);
-  EXPECT_EQ(rows[1].messages, 2u * 4u + 1u + 1u);
-  EXPECT_EQ(rows[2].messages, 1u * 4u + 1u + 0u);
-  EXPECT_EQ(rec.metrics().counter("msg.levels_sp_ue"), 3u);
-  EXPECT_EQ(rec.metrics().counter("msg.levels_bs_sp"), 3u);
+  EXPECT_EQ(rows[0].messages, 4u * 4u + 1u);
+  EXPECT_EQ(rows[1].messages, 2u * 4u + 1u);
+  EXPECT_EQ(rows[2].messages, 1u * 4u + 1u);
+  EXPECT_EQ(rows[0].receptions, 4u);
+  EXPECT_EQ(rows[1].receptions, 2u);
+  EXPECT_EQ(rows[2].receptions, 1u);
+  EXPECT_EQ(rec.metrics().counter("msg.receptions"), 7u);
+  EXPECT_EQ(rec.metrics().counter("msg.publications"), 4u);
+}
+
+TEST(Decentralized, UesReadOnlyTheChannelsTheyNeedUnderAnOutagePlan) {
+  // Two BSs that each fit one service-0 UE and cover all three UEs, and a
+  // third BS out of everyone's range whose crash in round 1 arms crash
+  // recovery; no link faults. Every live BS publishes every round. u0 and
+  // u1 sit near BS 0 and propose there, u2 near BS 1. BS 0 admits one of
+  // its two proposers, BS 1 admits u2, so in round 1 the rejected UE finds
+  // both candidates full and falls back to the cloud. After that nobody
+  // proposes, and the run ends on the sixth quiet round (round 6; crash
+  // recovery keeps kSuspectAfter + 2 = 5 quiet rounds of grace).
+  test::MiniScenario ms;
+  const SpId sp = ms.add_sp();
+  ms.add_bs(sp, {0.0, 0.0}, 4);
+  ms.add_bs(sp, {400.0, 0.0}, 4);
+  const BsId far = ms.add_bs(sp, {3000.0, 0.0});
+  for (const double x : {100.0, 150.0, 350.0}) ms.add_ue(sp, {x, 0.0}, ServiceId{0});
+  const Scenario s = ms.build();
+  for (std::uint32_t u = 0; u < 3; ++u) ASSERT_EQ(s.candidates(UeId{u}).size(), 2u);
+
+  FaultPlan plan;
+  plan.outages.push_back({.bs = far, .crash_round = 1, .recover_round = kNeverRecovers});
+  obs::TraceRecorder rec;
+  DecentralizedResult r;
+  {
+    obs::ScopedTraceRecorder install(&rec);
+    r = run_decentralized_dmra(s, {}, {.seed = 1, .faults = &plan});
+  }
+  EXPECT_EQ(r.dmra.allocation.num_served(), 2u);
+  EXPECT_EQ(r.dmra.proposals_sent, 3u);
+  EXPECT_EQ(r.recovery.suspected_serving_bs, 0u);
+  EXPECT_EQ(r.bus.reads_dropped, 0u);  // no link faults, no read draws
+  ASSERT_EQ(r.dmra.rounds, 6u);
+
+  const auto rows = rec.rows();
+  ASSERT_EQ(rows.size(), 6u);
+  // Round 0: all three seek and hear both candidates' bootstrap.
+  EXPECT_EQ(rows[0].receptions, 3u * 2u);
+  // Round 1: the two matched UEs hear only their serving BS; the rejected
+  // UE, still seeking, hears both candidates (and then goes to the cloud).
+  EXPECT_EQ(rows[1].receptions, 2u * 1u + 1u * 2u);
+  // Rounds 2-5: the matched UEs hear their serving BS, the cloud UE nothing.
+  for (std::size_t k = 2; k < rows.size(); ++k) EXPECT_EQ(rows[k].receptions, 2u) << k;
+  // Round 6, the last quiet round, reads too but closes no row.
+  EXPECT_EQ(r.messages.receptions, 6u + 4u + 4u * 2u + 2u);
+  // Bootstrap 3, round 0's BS phase 3, then the two live BSs in rounds 1-5.
+  EXPECT_EQ(r.messages.publications, 3u + 3u + 5u * 2u);
+  EXPECT_EQ(r.messages.total(), r.bus.messages_sent);
 }
 
 TEST(Decentralized, EquivalentOnTheDenseDeployment) {
   // The benchmark's deployment (100 BSs in a 3000 m arena) at 4000 UEs,
   // about 1.1x what the MEC layer can serve: many rounds, and many UEs
   // settled long before the last broadcast. Also with three services per
-  // BS, where a covered UE that cannot be served is in no audience.
+  // BS, where a covered UE that cannot be served there is no candidate and
+  // never reads the BS's channel.
   ScenarioConfig dense;
   dense.bss_per_sp = 20;
   dense.area_side_m = 3000.0;
@@ -254,7 +311,8 @@ TEST(Decentralized, EquivalentOnTheDenseDeployment) {
     EXPECT_EQ(one.dmra.proposals_sent, dec.dmra.proposals_sent);
     EXPECT_EQ(one.bus.messages_sent, dec.bus.messages_sent);
     EXPECT_EQ(one.bus.rounds, dec.bus.rounds);
-    EXPECT_EQ(one.messages.levels_sp_ue, dec.messages.levels_sp_ue);
+    EXPECT_EQ(one.messages.publications, dec.messages.publications);
+    EXPECT_EQ(one.messages.receptions, dec.messages.receptions);
 
     // Three shards run the engine per region, then reconcile the boundary:
     // the same as the solver over the interior UEs (the regions share no

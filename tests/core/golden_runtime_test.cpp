@@ -168,30 +168,33 @@ void print_row(const GoldenRow& r) {
 
 // Fingerprints generated from the pre-pooling runtime (see header). The
 // dec_messages_sent, dec_trace_hash and dec_csv_hash columns were
-// re-pinned when reliable-path broadcasts started going through the SPs
-// (settled UEs hear no more levels; the traces gained the msg.* counters);
-// every round, profit and faulted column is the pre-pooling value.
+// re-pinned when resource levels moved onto per-BS broadcast channels (a
+// publication is one message, settled UEs stop reading, the traces carry
+// msg.publications and msg.receptions), and the flt_* columns with them:
+// the faulted run no longer sends level envelopes, so every later loss
+// draw shifts, and channel reads draw from their own stream. Every
+// dec_* round and profit column is the pre-pooling value.
 constexpr GoldenRow kGolden[kSeeds] = {
-    {1ull, 26ull, 7581ull, 6ull, 0x40abb753a2515433ull, 0x9a8cb583c47d2c98ull, 0x53d9629f52240729ull,
-     78ull, 46705ull, 3757ull, 0ull, 0ull, 15ull, 0ull, 0x40ab7bb005f8b2baull},
-    {2ull, 26ull, 7524ull, 6ull, 0x40ac49fe580e3a9cull, 0x961e171b770f9a3aull, 0x4b0e284ffd331fbeull,
-     86ull, 50066ull, 3989ull, 0ull, 0ull, 29ull, 0ull, 0x40ac1f7003f58fc8ull},
-    {3ull, 26ull, 7625ull, 6ull, 0x40abe812b0115557ull, 0xff00bd2570eae657ull, 0x5853acac4693f801ull,
-     86ull, 51581ull, 4207ull, 0ull, 0ull, 19ull, 0ull, 0x40abbef655eab737ull},
-    {4ull, 30ull, 7756ull, 7ull, 0x40ac5d895fe42c9aull, 0x2e95961c45277507ull, 0x730d50f81fe194c3ull,
-     86ull, 51178ull, 4087ull, 0ull, 0ull, 29ull, 0ull, 0x40abeef46d8b96b0ull},
-    {5ull, 30ull, 7872ull, 7ull, 0x40acc0d13b25345aull, 0x5c9fc4f3680b2f73ull, 0xc501a2b1da509528ull,
-     78ull, 47275ull, 3803ull, 0ull, 0ull, 21ull, 0ull, 0x40ac78111cd65488ull},
-    {6ull, 34ull, 7877ull, 8ull, 0x40acb00b910906d7ull, 0x10c3d3d8fbc27c7full, 0x72914af485440074ull,
-     74ull, 44651ull, 3499ull, 0ull, 0ull, 19ull, 0ull, 0x40ac709e3c298f33ull},
-    {7ull, 30ull, 7836ull, 7ull, 0x40ac750fb384d2b8ull, 0x6749f97aa228222ull, 0xcd7f958f33e33adfull,
-     78ull, 46494ull, 3828ull, 0ull, 0ull, 16ull, 0ull, 0x40ac4c2034b707faull},
-    {8ull, 22ull, 7346ull, 5ull, 0x40ac04c4f46a04abull, 0xdcfdea9c6525c538ull, 0xa099b87b03af186full,
-     86ull, 51241ull, 4111ull, 0ull, 0ull, 17ull, 0ull, 0x40abb2c314cd5020ull},
-    {9ull, 38ull, 7460ull, 9ull, 0x40ac3710295753fcull, 0x5d26cb8ab1f6b521ull, 0x87bfb392de354404ull,
-     70ull, 41122ull, 3258ull, 0ull, 0ull, 25ull, 0ull, 0x40abfe3c57d5e0a1ull},
-    {10ull, 34ull, 8210ull, 8ull, 0x40ac02b7df96341eull, 0xb242b61504d7bc19ull, 0x48591c5ea2853daaull,
-     82ull, 50202ull, 3903ull, 0ull, 0ull, 19ull, 0ull, 0x40abd00def528e65ull},
+    {1ull, 26ull, 2603ull, 6ull, 0x40abb753a2515433ull, 0x7899b7ae1dcd40bdull, 0x813bc9c02dfe7b23ull,
+     82ull, 3237ull, 222ull, 0ull, 0ull, 15ull, 0ull, 0x40ab6e7c9caa5432ull},
+    {2ull, 26ull, 2587ull, 6ull, 0x40ac49fe580e3a9cull, 0xd7042f09e326db3full, 0xdd815f00eb2f6a96ull,
+     78ull, 3335ull, 232ull, 0ull, 0ull, 29ull, 0ull, 0x40ac25edc266e098ull},
+    {3ull, 26ull, 2580ull, 6ull, 0x40abe812b0115557ull, 0xe443ac3d4e03f5aaull, 0x5009e773f6b96a0ull,
+     74ull, 3157ull, 200ull, 0ull, 0ull, 20ull, 0ull, 0x40abba16551e287aull},
+    {4ull, 30ull, 2635ull, 7ull, 0x40ac5d895fe42c9aull, 0x3c90c71511bffe1bull, 0xedb51c80b4030614ull,
+     78ull, 3472ull, 228ull, 0ull, 0ull, 29ull, 0ull, 0x40ac27f41ea44d71ull},
+    {5ull, 30ull, 2670ull, 7ull, 0x40acc0d13b25345aull, 0xaeac982d3c773859ull, 0x34cee06b8dcd0e02ull,
+     86ull, 3339ull, 246ull, 0ull, 0ull, 21ull, 0ull, 0x40ac7c7a7891877bull},
+    {6ull, 34ull, 2669ull, 8ull, 0x40acb00b910906d7ull, 0x1ae08421e92ed72dull, 0x9eb1f0b5ef7ffdf7ull,
+     74ull, 3323ull, 212ull, 0ull, 0ull, 19ull, 0ull, 0x40ac776df6d8e190ull},
+    {7ull, 30ull, 2673ull, 7ull, 0x40ac750fb384d2b8ull, 0x8fc36507a321bdc6ull, 0x45fcd26f081c5399ull,
+     70ull, 3153ull, 229ull, 0ull, 0ull, 16ull, 0ull, 0x40ac3b88b4fe0e68ull},
+    {8ull, 22ull, 2496ull, 5ull, 0x40ac04c4f46a04abull, 0x75c9631824163b07ull, 0x2bbb21004efc94b6ull,
+     78ull, 3178ull, 202ull, 0ull, 0ull, 19ull, 0ull, 0x40abd1aeeaf83f94ull},
+    {9ull, 38ull, 2598ull, 9ull, 0x40ac3710295753fcull, 0x295cdcd20bd0ec21ull, 0x1b968e2ac5b7eec0ull,
+     82ull, 3314ull, 235ull, 0ull, 0ull, 24ull, 0ull, 0x40ac014085530f27ull},
+    {10ull, 34ull, 2785ull, 8ull, 0x40ac02b7df96341eull, 0xb5add3e5fbe9dd85ull, 0xc6b2166dac8b2507ull,
+     78ull, 3423ull, 248ull, 0ull, 0ull, 18ull, 0ull, 0x40abdb274c659d8eull},
 };
 
 // Serving probe: test::serving_probe_config (tests/test_util.hpp), a
@@ -305,39 +308,39 @@ void print_sharded_case(const GoldenShardedCase& c) {
 
 // Generated from the runtime whose shards ran their own copy of the
 // protocol; the shared engine must reproduce every field. messages_sent
-// was re-pinned when reliable-path broadcasts started going through the
-// SPs, which skip subscribers already accepted.
+// was re-pinned when resource levels moved onto per-BS broadcast
+// channels, where a publication counts once.
 constexpr GoldenShardedRow kGoldenSharded[kSeeds] = {
     {1ull,
-     {0x176aa83cda069bcbull, 0x40d18d31f4c84f18ull, 18894ull, 78ull, 2855ull, 1355ull, 0x9bdda013390fa2e7ull, 671ull, 8ull},
-     {0xff8a724ae9201d27ull, 0x40abb79a071e8d22ull, 484ull, 18ull, 599ull, 299ull, 0x9306d3c1f49ead87ull, 270ull, 6ull}},
+     {0x176aa83cda069bcbull, 0x40d18d31f4c84f18ull, 6818ull, 78ull, 2855ull, 1355ull, 0x9bdda013390fa2e7ull, 671ull, 8ull},
+     {0xff8a724ae9201d27ull, 0x40abb79a071e8d22ull, 214ull, 18ull, 599ull, 299ull, 0x9306d3c1f49ead87ull, 270ull, 6ull}},
     {2ull,
-     {0xcbaaf6b494867cc2ull, 0x40d186c4a75462a4ull, 19400ull, 74ull, 2967ull, 1467ull, 0x6c767d4060d250aeull, 676ull, 6ull},
-     {0xf0fb77dbf97cc52full, 0x40ac4a5464eab740ull, 425ull, 14ull, 575ull, 275ull, 0xba2b6282a813a6a0ull, 272ull, 6ull}},
+     {0xcbaaf6b494867cc2ull, 0x40d186c4a75462a4ull, 7093ull, 74ull, 2967ull, 1467ull, 0x6c767d4060d250aeull, 676ull, 6ull},
+     {0xf0fb77dbf97cc52full, 0x40ac4a5464eab740ull, 186ull, 14ull, 575ull, 275ull, 0xba2b6282a813a6a0ull, 272ull, 6ull}},
     {3ull,
-     {0xda92cd981eabf146ull, 0x40d1a2fa90fafb65ull, 19430ull, 78ull, 2963ull, 1463ull, 0x73873386e3647507ull, 673ull, 9ull},
-     {0x885c8afe18d340abull, 0x40abe6a33c0c28ddull, 404ull, 10ull, 590ull, 290ull, 0xd926298bb302f0c1ull, 272ull, 6ull}},
+     {0xda92cd981eabf146ull, 0x40d1a2fa90fafb65ull, 6981ull, 78ull, 2963ull, 1463ull, 0x73873386e3647507ull, 673ull, 9ull},
+     {0x885c8afe18d340abull, 0x40abe6a33c0c28ddull, 164ull, 10ull, 590ull, 290ull, 0xd926298bb302f0c1ull, 272ull, 6ull}},
     {4ull,
-     {0xc860feaaadeb2c85ull, 0x40d19ff630e23288ull, 19326ull, 74ull, 2830ull, 1330ull, 0x848fbb3ce09af906ull, 663ull, 6ull},
-     {0xdcc1425f1dc3b9bfull, 0x40ac5d895fe42c9aull, 522ull, 14ull, 582ull, 282ull, 0xba2b6282a813a6a0ull, 264ull, 6ull}},
+     {0xc860feaaadeb2c85ull, 0x40d19ff630e23288ull, 6832ull, 74ull, 2830ull, 1330ull, 0x848fbb3ce09af906ull, 663ull, 6ull},
+     {0xdcc1425f1dc3b9bfull, 0x40ac5d895fe42c9aull, 212ull, 14ull, 582ull, 282ull, 0xba2b6282a813a6a0ull, 264ull, 6ull}},
     {5ull,
-     {0xab75f9155664d824ull, 0x40d1bc898db472d5ull, 18391ull, 78ull, 2906ull, 1406ull, 0x8fa7d380717709e9ull, 703ull, 8ull},
-     {0x3c8ea957e69bdf80ull, 0x40acbd7fabdc02e4ull, 341ull, 14ull, 618ull, 318ull, 0xba2b6282a813a6a0ull, 275ull, 7ull}},
+     {0xab75f9155664d824ull, 0x40d1bc898db472d5ull, 6585ull, 78ull, 2906ull, 1406ull, 0x8fa7d380717709e9ull, 703ull, 8ull},
+     {0x3c8ea957e69bdf80ull, 0x40acbd7fabdc02e4ull, 151ull, 14ull, 618ull, 318ull, 0xba2b6282a813a6a0ull, 275ull, 7ull}},
     {6ull,
-     {0xa48ac81062182aa2ull, 0x40d17ee261906c39ull, 18837ull, 74ull, 2913ull, 1413ull, 0x848fbb3ce09af906ull, 696ull, 6ull},
-     {0x593379d0edfbb085ull, 0x40acaf3017c53a05ull, 390ull, 14ull, 615ull, 315ull, 0xba2b6282a813a6a0ull, 274ull, 8ull}},
+     {0xa48ac81062182aa2ull, 0x40d17ee261906c39ull, 6774ull, 74ull, 2913ull, 1413ull, 0x848fbb3ce09af906ull, 696ull, 6ull},
+     {0x593379d0edfbb085ull, 0x40acaf3017c53a05ull, 160ull, 14ull, 615ull, 315ull, 0xba2b6282a813a6a0ull, 274ull, 8ull}},
     {7ull,
-     {0xdc64f3ba6fc73537ull, 0x40d1c98d214a66d1ull, 18751ull, 70ull, 2962ull, 1462ull, 0xd9ba61cad2ab8d01ull, 675ull, 8ull},
-     {0xbd53e67183d08f5dull, 0x40ac741111ee1faaull, 593ull, 18ull, 609ull, 309ull, 0x9306d3c1f49ead87ull, 265ull, 7ull}},
+     {0xdc64f3ba6fc73537ull, 0x40d1c98d214a66d1ull, 6790ull, 70ull, 2962ull, 1462ull, 0xd9ba61cad2ab8d01ull, 675ull, 8ull},
+     {0xbd53e67183d08f5dull, 0x40ac741111ee1faaull, 244ull, 18ull, 609ull, 309ull, 0x9306d3c1f49ead87ull, 265ull, 7ull}},
     {8ull,
-     {0xb351cec47b7330ceull, 0x40d17047f841c4eeull, 19033ull, 70ull, 2951ull, 1451ull, 0xd9ba61cad2ab8d01ull, 681ull, 9ull},
-     {0xc91fe258202e1687ull, 0x40ac03b1bf212ea0ull, 538ull, 18ull, 560ull, 260ull, 0x9306d3c1f49ead87ull, 269ull, 6ull}},
+     {0xb351cec47b7330ceull, 0x40d17047f841c4eeull, 6896ull, 70ull, 2951ull, 1451ull, 0xd9ba61cad2ab8d01ull, 681ull, 9ull},
+     {0xc91fe258202e1687ull, 0x40ac03b1bf212ea0ull, 215ull, 18ull, 560ull, 260ull, 0x9306d3c1f49ead87ull, 269ull, 6ull}},
     {9ull,
-     {0xdf46039df1c98c1ull, 0x40d17e01dfacc9a2ull, 18838ull, 86ull, 3012ull, 1512ull, 0x6c2f3f021fcd878dull, 696ull, 7ull},
-     {0x250a61753595c365ull, 0x40ac379665f91198ull, 483ull, 14ull, 591ull, 291ull, 0xba2b6282a813a6a0ull, 266ull, 9ull}},
+     {0xdf46039df1c98c1ull, 0x40d17e01dfacc9a2ull, 6935ull, 86ull, 3012ull, 1512ull, 0x6c2f3f021fcd878dull, 696ull, 7ull},
+     {0x250a61753595c365ull, 0x40ac379665f91198ull, 196ull, 14ull, 591ull, 291ull, 0xba2b6282a813a6a0ull, 266ull, 9ull}},
     {10ull,
-     {0x6967aff65a856fdull, 0x40d1a62e516110c8ull, 17401ull, 74ull, 2863ull, 1363ull, 0x548c6c7dd8752ae6ull, 710ull, 8ull},
-     {0xa290181e70fdcb00ull, 0x40ac020042f58f58ull, 240ull, 10ull, 651ull, 351ull, 0xd926298bb302f0c1ull, 283ull, 8ull}},
+     {0x6967aff65a856fdull, 0x40d1a62e516110c8ull, 6229ull, 74ull, 2863ull, 1363ull, 0x548c6c7dd8752ae6ull, 710ull, 8ull},
+     {0xa290181e70fdcb00ull, 0x40ac020042f58f58ull, 100ull, 10ull, 651ull, 351ull, 0xd926298bb302f0c1ull, 283ull, 8ull}},
 };
 
 // Link-fault probe: two plans without outages per seed on the paper
@@ -397,38 +400,39 @@ void print_link_case(const GoldenLinkCase& c) {
 }
 
 // Generated by the engine that arms crash recovery only for plans with
-// outages.
+// outages, and re-pinned when resource levels moved onto per-BS broadcast
+// channels whose reads take their own loss and delay draws.
 constexpr GoldenLinkRow kGoldenLink[kSeeds] = {
     {1ull,
-     {90ull, 54433ull, 10952ull, 0ull, 0ull, 1033ull, 0x40abb8445ac15543ull},
-     {54ull, 34208ull, 3448ull, 1532ull, 3156ull, 831ull, 0x40abb90bb1e44688ull}},
+     {50ull, 3270ull, 601ull, 0ull, 0ull, 1006ull, 0x40abb5bd9ca874aeull},
+     {50ull, 3270ull, 305ull, 127ull, 282ull, 857ull, 0x40abb9a219811123ull}},
     {2ull,
-     {66ull, 40543ull, 8003ull, 0ull, 0ull, 987ull, 0x40ac47278d001f40ull},
-     {54ull, 33951ull, 3286ull, 1503ull, 3000ull, 846ull, 0x40ac4654d1e735e7ull}},
+     {42ull, 3063ull, 526ull, 0ull, 0ull, 936ull, 0x40ac46e5311e89b4ull},
+     {54ull, 3318ull, 287ull, 130ull, 258ull, 838ull, 0x40ac47be048d70d7ull}},
     {3ull,
-     {70ull, 43487ull, 8600ull, 0ull, 0ull, 961ull, 0x40abe2be9ede5e91ull},
-     {54ull, 34478ull, 3479ull, 1550ull, 3108ull, 827ull, 0x40abe347106cc1fbull}},
+     {42ull, 3127ull, 547ull, 0ull, 0ull, 947ull, 0x40abe27f02ae2f06ull},
+     {46ull, 3223ull, 274ull, 142ull, 268ull, 825ull, 0x40abe8ef568bf8b1ull}},
     {4ull,
-     {66ull, 41180ull, 8117ull, 0ull, 0ull, 1022ull, 0x40ac5921649718d1ull},
-     {50ull, 32161ull, 3152ull, 1433ull, 2905ull, 855ull, 0x40ac5ef06cc8c4eeull}},
+     {50ull, 3195ull, 558ull, 0ull, 0ull, 974ull, 0x40ac5ec756d031ddull},
+     {54ull, 3289ull, 267ull, 141ull, 274ull, 822ull, 0x40ac6113f18b389cull}},
     {5ull,
-     {86ull, 52965ull, 10624ull, 0ull, 0ull, 1037ull, 0x40acbf83ee78e751ull},
-     {62ull, 39228ull, 3963ull, 1823ull, 3578ull, 852ull, 0x40acbe59363d0719ull}},
+     {62ull, 3373ull, 606ull, 0ull, 0ull, 1017ull, 0x40acbb10a18d8ea8ull},
+     {58ull, 3311ull, 310ull, 117ull, 262ull, 850ull, 0x40acbb0d7bd0e950ull}},
     {6ull,
-     {50ull, 32195ull, 6455ull, 0ull, 0ull, 1000ull, 0x40aca7fad95a4f26ull},
-     {50ull, 32181ull, 3140ull, 1463ull, 2902ull, 845ull, 0x40acae965efb9f95ull}},
+     {50ull, 3250ull, 560ull, 0ull, 0ull, 983ull, 0x40acace3241aff6dull},
+     {54ull, 3307ull, 273ull, 132ull, 242ull, 832ull, 0x40aca9207de5ec2full}},
     {7ull,
-     {50ull, 31818ull, 6432ull, 0ull, 0ull, 1000ull, 0x40ac71f5f56ed1feull},
-     {54ull, 34098ull, 3475ull, 1604ull, 3063ull, 842ull, 0x40ac71f344779f7dull}},
+     {70ull, 3490ull, 633ull, 0ull, 0ull, 1047ull, 0x40ac71c853218b19ull},
+     {50ull, 3243ull, 300ull, 135ull, 237ull, 832ull, 0x40ac71b1ed718720ull}},
     {8ull,
-     {66ull, 41067ull, 8132ull, 0ull, 0ull, 986ull, 0x40abfe46c8f8c81aull},
-     {54ull, 34301ull, 3450ull, 1538ull, 2989ull, 836ull, 0x40ac01a016b33825ull}},
+     {54ull, 3017ull, 508ull, 0ull, 0ull, 902ull, 0x40ac027eaac7b138ull},
+     {50ull, 3169ull, 268ull, 119ull, 257ull, 814ull, 0x40ac03500055b30aull}},
     {9ull,
-     {58ull, 35743ull, 7175ull, 0ull, 0ull, 1017ull, 0x40ac350d23ee7840ull},
-     {70ull, 42153ull, 4203ull, 1903ull, 3746ull, 800ull, 0x40ac35a648941ba0ull}},
+     {62ull, 3423ull, 623ull, 0ull, 0ull, 1031ull, 0x40ac35217c73806eull},
+     {66ull, 3484ull, 316ull, 133ull, 278ull, 880ull, 0x40ac333e396c6888ull}},
     {10ull,
-     {54ull, 35219ull, 6939ull, 0ull, 0ull, 1060ull, 0x40ac007bffd1b0fdull},
-     {58ull, 37556ull, 3681ull, 1685ull, 3377ull, 898ull, 0x40abfd96482d7f1cull}},
+     {54ull, 3471ull, 619ull, 0ull, 0ull, 1051ull, 0x40ac0077a1d99ee2ull},
+     {54ull, 3509ull, 324ull, 151ull, 297ull, 901ull, 0x40abfbe1dd8994ecull}},
 };
 
 // See BusFaultStreamPinned below; regenerated alongside kGolden.

@@ -126,8 +126,8 @@ int main(int argc, char** argv) {
       std::cout << "(series written to " << out << ")\n";
     }
   }
-  std::cout << "\nreading: losses alone cost little profit (retries + rebroadcasts heal\n"
-               "them) but buy extra rounds and messages; crashes orphan whole cells and\n"
+  std::cout << "\nreading: losses alone cost little profit (retries + per-round publications\n"
+               "heal them) but buy extra rounds and messages; crashes orphan whole cells and\n"
                "the orphan column splits into in-protocol re-admissions, repair-pass\n"
                "re-placements, and the cloud-fallback floor. Every run passes the\n"
                "invariant auditor (DMRA_AUDIT=1) regardless of the cell.\n";

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 
 #include "util/require.hpp"
@@ -175,6 +176,60 @@ TEST(Bus, MessagesSentDuringAPhaseArriveNextDeliver) {
   EXPECT_TRUE(bus.inbox_empty(a));
   bus.deliver();
   EXPECT_EQ(bus.take_inbox(a).at(0).payload, "reply");
+}
+
+TEST(Bus, ChannelReadsHandOutOnlyNewerPublications) {
+  StrBus bus;
+  bus.open_channels(2, 3);
+  const auto post = [&](std::size_t channel, std::uint32_t base) {
+    const std::span<std::uint32_t> w = bus.publish(channel);
+    for (std::uint32_t k = 0; k < 3; ++k) w[k] = base + k;
+  };
+  std::uint32_t held = 0;
+  EXPECT_EQ(bus.read(0, held), nullptr);  // nothing published yet
+  post(0, 10);
+  post(1, 90);
+  post(0, 20);
+  const std::uint32_t* w = bus.read(0, held);
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(held, 2u);  // the newest of channel 0's two publications
+  EXPECT_EQ(w[0], 20u);
+  EXPECT_EQ(w[2], 22u);
+  EXPECT_EQ(bus.read(0, held), nullptr);  // nothing newer than what it holds
+  EXPECT_EQ(bus.stamp(1), 1u);
+  // One publication is one send however many read it; nothing is queued.
+  EXPECT_EQ(bus.stats().messages_sent, 3u);
+  EXPECT_EQ(bus.stats().messages_delivered, 3u);
+  EXPECT_EQ(bus.in_flight(), 0u);
+  EXPECT_THROW(bus.open_channels(2, 3), ContractViolation);
+  EXPECT_THROW(bus.publish(2), ContractViolation);
+  EXPECT_THROW(bus.set_faults(LinkFaults{.drop_probability = 0.1}, 1), ContractViolation);
+}
+
+TEST(Bus, DelayedChannelReadsSeeOlderPublicationsFromTheWindow) {
+  StrBus bus;
+  bus.set_faults(LinkFaults{.delay_probability = 0.5, .max_delay_rounds = 2}, 7);
+  bus.open_channels(1, 1);
+  for (std::uint32_t k = 1; k <= 5; ++k) bus.publish(0)[0] = 100 + k;
+  // Each read from scratch sees publication 5 - d for d in {0, 1, 2}; the
+  // words always match the stamp the read moved `held` to.
+  std::uint64_t seen[6] = {};
+  for (int r = 0; r < 400; ++r) {
+    std::uint32_t held = 0;
+    const std::uint32_t* w = bus.read(0, held);
+    ASSERT_NE(w, nullptr);
+    ASSERT_GE(held, 3u);
+    EXPECT_EQ(w[0], 100 + held);
+    ++seen[held];
+  }
+  EXPECT_GT(seen[3], 0u);
+  EXPECT_GT(seen[4], 0u);
+  EXPECT_GT(seen[5], 0u);
+  EXPECT_EQ(bus.stats().reads_delayed, seen[3] + seen[4]);
+  // A reader already holding the newest publication gains nothing from a
+  // delayed read.
+  std::uint32_t newest = 5;
+  for (int r = 0; r < 20; ++r) EXPECT_EQ(bus.read(0, newest), nullptr);
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ struct Proposal {
 /// `(std::size_t global_slot, BsId i) -> std::pair<std::uint32_t,
 /// std::uint32_t>` returning (remaining CRUs of u's service at i,
 /// remaining RRBs at i) — the solver closes over ResourceState, the
-/// decentralized runtime over its per-slot broadcast arrays.
+/// decentralized runtime over the levels each UE holds per candidate slot.
 ///
 /// * f_u counts the serviceable BSs of the full row — not just the live
 ///   row: a BS dropped from B_u still counts while the view says it could

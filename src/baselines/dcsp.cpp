@@ -61,7 +61,7 @@ Allocation DcspAllocator::allocate(const Scenario& scenario) const {
         continue;
       }
       proposals[*choice].emplace_back(scenario.coverage_count(u),
-                                      scenario.link(u, *choice).n_rrbs, u);
+                                      scenario.candidate_rrbs(u, *choice), u);
       ++sent;
     }
     if (sent == 0) break;
@@ -75,7 +75,7 @@ Allocation DcspAllocator::allocate(const Scenario& scenario) const {
           std::erase(b_u[u.idx()], bs);  // rejected → move down the list
           continue;
         }
-        state.commit(u, bs);
+        state.commit(u, bs, n_rrbs);
         alloc.assign(u, bs);
         done[u.idx()] = true;
       }

@@ -49,13 +49,14 @@ void search(SearchCtx& ctx, std::size_t ui) {
   for (BsId i : cands) {
     if (!ctx.state.can_serve(u, i)) continue;
     const double p = ctx.scenario.pair_profit(u, i);
-    ctx.state.commit(u, i);
+    const std::uint32_t n_rrbs = ctx.scenario.candidate_rrbs(u, i);
+    ctx.state.commit(u, i, n_rrbs);
     ctx.current.assign(u, i);
     ctx.current_profit += p;
     search(ctx, ui + 1);
     ctx.current_profit -= p;
     ctx.current.assign_cloud(u);
-    ctx.state.release(u, i);
+    ctx.state.release(u, i, n_rrbs);
   }
   // The cloud branch (u unserved) is always available.
   search(ctx, ui + 1);

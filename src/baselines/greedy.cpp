@@ -29,7 +29,7 @@ Allocation GreedyProfitAllocator::allocate(const Scenario& scenario) const {
   std::vector<bool> assigned(scenario.num_ues(), false);
   for (const Pair& p : pairs) {
     if (assigned[p.u.idx()] || !state.can_serve(p.u, p.i)) continue;
-    state.commit(p.u, p.i);
+    state.commit(p.u, p.i, scenario.candidate_rrbs(p.u, p.i));
     alloc.assign(p.u, p.i);
     assigned[p.u.idx()] = true;
   }

@@ -46,7 +46,7 @@ std::vector<UeId> admit(ResourceState& state, Allocation& alloc, BsId bs,
       rejected.push_back(u);
       continue;
     }
-    state.commit(u, bs);
+    state.commit(u, bs, n_rrbs);
     alloc.assign(u, bs);
   }
   return rejected;

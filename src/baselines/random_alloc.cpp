@@ -23,7 +23,7 @@ Allocation RandomAllocator::allocate(const Scenario& scenario) const {
       if (state.can_serve(u, i)) feasible.push_back(i);
     if (feasible.empty()) continue;  // → cloud
     const BsId pick = feasible[rng.index(feasible.size())];
-    state.commit(u, pick);
+    state.commit(u, pick, scenario.candidate_rrbs(u, pick));
     alloc.assign(u, pick);
   }
   if (DMRA_AUDIT_ACTIVE())

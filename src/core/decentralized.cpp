@@ -737,7 +737,8 @@ ProtocolRun run_scope(const Scenario& scenario, const DmraConfig& config,
     if (!orphans.empty()) {
       ResourceState state(scenario);
       for (const UeAgent& a : ue_agents)
-        if (const auto bs = result.dmra.allocation.bs_of(a.ue)) state.commit(a.ue, *bs);
+        if (const auto bs = result.dmra.allocation.bs_of(a.ue))
+          state.commit(a.ue, *bs, scenario.candidate_rrbs(a.ue, *bs));
       // Clamp the global view down to each BS's own ledger: a crashed BS
       // offers nothing, and a degraded (or leak-carrying) BS offers only
       // what it believes it has. The repair pass must never promise

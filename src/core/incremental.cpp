@@ -41,7 +41,7 @@ IncrementalAllocator::IncrementalAllocator(const Scenario& scenario,
       config_(config),
       state_(scenario),
       allocation_(scenario.num_ues()),
-      active_(scenario.num_ues(), false),
+      active_((scenario.num_ues() + 63) / 64, 0),
       waiting_((scenario.num_ues() + 63) / 64, 0),
       clamped_(scenario.num_bss(), false) {
   DMRA_REQUIRE_MSG(config_.rule == nullptr || scenario.channel().shadowing_sigma_db == 0.0,
@@ -49,16 +49,16 @@ IncrementalAllocator::IncrementalAllocator(const Scenario& scenario,
 }
 
 std::optional<BsId> IncrementalAllocator::admit(UeId u) {
-  DMRA_REQUIRE_MSG(u.idx() < active_.size(), "slot outside the universe");
-  DMRA_REQUIRE_MSG(!active_[u.idx()], "admit on an already-active slot");
-  active_[u.idx()] = true;
+  DMRA_REQUIRE_MSG(u.idx() < allocation_.num_ues(), "slot outside the universe");
+  DMRA_REQUIRE_MSG(!active(u), "admit on an already-active slot");
+  active_[u.idx() / 64] |= std::uint64_t{1} << (u.idx() % 64);
   ++num_active_;
   return place(u);
 }
 
 std::optional<BsId> IncrementalAllocator::reattempt(UeId u) {
-  DMRA_REQUIRE_MSG(u.idx() < active_.size(), "slot outside the universe");
-  DMRA_REQUIRE_MSG(active_[u.idx()], "reattempt on an inactive slot");
+  DMRA_REQUIRE_MSG(u.idx() < allocation_.num_ues(), "slot outside the universe");
+  DMRA_REQUIRE_MSG(active(u), "reattempt on an inactive slot");
   DMRA_REQUIRE_MSG(allocation_.is_cloud(u), "reattempt on a served slot");
   return place(u);
 }
@@ -83,17 +83,19 @@ std::optional<BsId> IncrementalAllocator::ask_rule(UeId u, std::uint32_t& live_f
 std::optional<BsId> IncrementalAllocator::place(UeId u) {
   const UserEquipment& e = scenario_->ue(u);
   const std::span<const BsId> cands = scenario_->candidates(u);
+  const std::span<const std::uint32_t> rrbs = scenario_->candidate_rrbs(u);
   std::optional<BsId> best;
+  std::size_t best_k = 0;  // the winner's slot in u's candidate row
   std::uint32_t live_fu = 0;
   if (config_.rule != nullptr) {
     best = ask_rule(u, live_fu);
+    if (best) best_k = scenario_->candidate_slot(u, *best);
   } else {
     // Alg. 1 with a single proposer: arg-min Eq. 17 preference over the
     // serviceable candidates; an uncontended BS accepts any feasible
     // proposal, so the first proposal round decides.
     // dmra::hotpath begin(admit-one)
     const std::span<const double> prices = scenario_->candidate_prices(u);
-    const std::span<const std::uint32_t> rrbs = scenario_->candidate_rrbs(u);
     double best_v = 0.0;
     for (std::size_t k = 0; k < cands.size(); ++k) {
       const BsId i = cands[k];
@@ -106,6 +108,7 @@ std::optional<BsId> IncrementalAllocator::place(UeId u) {
       // strict < keeps the earlier (smaller) one.
       if (!best || v < best_v) {
         best = i;
+        best_k = k;
         best_v = v;
       }
     }
@@ -121,9 +124,9 @@ std::optional<BsId> IncrementalAllocator::place(UeId u) {
     return std::nullopt;
   }
   clear_waiting(u);
-  state_.commit(u, *best);
+  state_.commit(u, *best, rrbs[best_k]);
   allocation_.assign(u, *best);
-  live_profit_ += scenario_->pair_profit(u, *best);
+  live_profit_ += scenario_->candidate_profit(u, best_k);
   if (rec != nullptr) {
     obs::TraceEvent p;
     p.kind = obs::EventKind::kProposal;
@@ -144,30 +147,30 @@ std::optional<BsId> IncrementalAllocator::place(UeId u) {
 }
 
 void IncrementalAllocator::remove(UeId u) {
-  DMRA_REQUIRE_MSG(u.idx() < active_.size(), "slot outside the universe");
-  DMRA_REQUIRE_MSG(active_[u.idx()], "remove on an inactive slot");
-  active_[u.idx()] = false;
+  DMRA_REQUIRE_MSG(u.idx() < allocation_.num_ues(), "slot outside the universe");
+  DMRA_REQUIRE_MSG(active(u), "remove on an inactive slot");
+  active_[u.idx() / 64] &= ~(std::uint64_t{1} << (u.idx() % 64));
   --num_active_;
   clear_waiting(u);
   const auto bs = allocation_.bs_of(u);
   if (!bs) return;  // was cloud-forwarded; nothing held
-  live_profit_ -= scenario_->pair_profit(u, *bs);
-  state_.release(u, *bs);
+  const std::size_t k = scenario_->candidate_slot(u, *bs);
+  live_profit_ -= scenario_->candidate_profit(u, k);
+  state_.release(u, *bs, scenario_->candidate_rrbs(u)[k]);
   allocation_.assign_cloud(u);
 }
 
 std::size_t IncrementalAllocator::crash_bs(BsId i, std::vector<UeId>& orphans) {
   std::size_t evicted = 0;
-  for (std::size_t ui = 0; ui < allocation_.num_ues(); ++ui) {
-    const UeId u{static_cast<std::uint32_t>(ui)};
+  for_each_active([&](UeId u) {
     const auto bs = allocation_.bs_of(u);
-    if (!bs || *bs != i) continue;
-    live_profit_ -= scenario_->pair_profit(u, i);
+    if (!bs || *bs != i) return;
+    live_profit_ -= scenario_->candidate_profit(u, scenario_->candidate_slot(u, i));
     allocation_.assign_cloud(u);
     set_waiting(u);  // served on i, so i is among its candidates
     orphans.push_back(u);
     ++evicted;
-  }
+  });
   const std::vector<std::uint32_t> zero_crus(scenario_->num_services(), 0);
   state_.clamp_remaining(i, zero_crus, 0);
   if (!clamped_[i.idx()]) {
@@ -190,7 +193,11 @@ std::size_t IncrementalAllocator::crash_bs(BsId i, std::vector<UeId>& orphans) {
 }
 
 void IncrementalAllocator::recover_bs(BsId i) {
-  state_.recount_remaining(i, allocation_);
+  state_.restore_capacity(i);
+  for_each_active([&](UeId u) {
+    if (const auto bs = allocation_.bs_of(u); bs && *bs == i)
+      state_.commit(u, i, scenario_->candidate_rrbs(u, i));
+  });
   if (clamped_[i.idx()]) {
     clamped_[i.idx()] = false;
     --clamped_bss_;

@@ -90,17 +90,24 @@ class IncrementalAllocator {
   /// what u held was never part of it. (A crashed BS serves nobody.)
   void remove(UeId u);
 
-  bool active(UeId u) const { return active_[u.idx()]; }
+  bool active(UeId u) const { return ((active_[u.idx() / 64] >> (u.idx() % 64)) & 1) != 0; }
   std::size_t num_active() const { return num_active_; }
+
+  /// Call f(UeId) for every active slot, ascending, in O(universe / 64 +
+  /// active): the walk behind crash_bs, recover_bs and sim/churn's
+  /// periodic re-solve. f must not admit or remove slots.
+  template <typename F>
+  void for_each_active(F&& f) const;
 
   /// Crash BS i: remaining capacity clamps to zero and every UE it serves
   /// is evicted to the cloud (still active — the caller re-admits them).
   /// Evicted UE ids are appended to `orphans` in ascending order.
-  /// Returns the eviction count.
+  /// Returns the eviction count. Walks the active slots only.
   std::size_t crash_bs(BsId i, std::vector<UeId>& orphans);
 
   /// Recover BS i cold: nominal capacity minus current commitments
-  /// (none right after a crash; partial after a degradation recovery).
+  /// (none right after a crash; partial after a degradation recovery),
+  /// recommitted from the active slots it still serves.
   void recover_bs(BsId i);
 
   /// Scale BS i's *remaining* capacity by the given factors (floor),
@@ -120,15 +127,17 @@ class IncrementalAllocator {
   const ResourceState& state() const { return state_; }
   const Scenario& scenario() const { return *scenario_; }
 
-  /// Eq. 11 profit of the current allocation, maintained incrementally
-  /// (Σ pair_profit over served slots — cross-checked against
-  /// total_profit() by tests).
+  /// Eq. 11 profit of the current allocation, maintained incrementally:
+  /// each placement adds, and each removal or eviction subtracts, the
+  /// serving slot's Scenario::candidate_profit (pair_profit's bits), so no
+  /// event searches the link store. Cross-checked against total_profit()
+  /// by tests; sim/churn's re-solve compares it with a scratch solve.
   double live_profit() const { return live_profit_; }
 
  private:
   /// The shared decision: the rule's choice, or arg-min Eq. 17 over
-  /// serviceable candidates without one; commit on success, cloud
-  /// otherwise.
+  /// serviceable candidates without one; commit the winning candidate
+  /// slot on success, cloud otherwise.
   std::optional<BsId> place(UeId u);
 
   /// config_.rule's answer for slot u on the residual scenario, with the
@@ -146,7 +155,8 @@ class IncrementalAllocator {
   IncrementalConfig config_;
   ResourceState state_;
   Allocation allocation_;
-  std::vector<bool> active_;
+  /// Bit per slot, sized at construction: admitted and not yet removed.
+  std::vector<std::uint64_t> active_;
   /// Bit per slot, sized at construction: active ∧ cloud ∧ candidates.
   std::vector<std::uint64_t> waiting_;
   std::vector<bool> clamped_;  ///< per BS: capacity currently clamped
@@ -154,6 +164,13 @@ class IncrementalAllocator {
   std::size_t clamped_bss_ = 0;
   double live_profit_ = 0.0;
 };
+
+template <typename F>
+void IncrementalAllocator::for_each_active(F&& f) const {
+  for (std::size_t w = 0; w < active_.size(); ++w)
+    for (std::uint64_t bits = active_[w]; bits != 0; bits &= bits - 1)
+      f(UeId{static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits))});
+}
 
 template <typename OnPlaced>
 void IncrementalAllocator::readmit_waiting(OnPlaced&& on_placed) {

@@ -95,7 +95,8 @@ ShardedResult run_sharded_dmra(const Scenario& scenario, const DmraConfig& confi
     ResourceState state(scenario);
     for (std::size_t ui = 0; ui < nu; ++ui) {
       const UeId u{static_cast<std::uint32_t>(ui)};
-      if (const auto bs = result.dmra.allocation.bs_of(u)) state.commit(u, *bs);
+      if (const auto bs = result.dmra.allocation.bs_of(u))
+        state.commit(u, *bs, scenario.candidate_rrbs(u, *bs));
     }
     DmraResult reconcile;
     {

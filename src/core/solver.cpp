@@ -156,10 +156,11 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
       local.rrbs = state.remaining_rrbs(bs);
 
       for (const ProposalInfo& p : bs_select(scenario, bs, props, local, ws, config)) {
-        state.commit(p.ue, bs);
+        state.commit(p.ue, bs, p.n_rrbs);
         allocation.assign(p.ue, bs);
         ++accepted_this_round;
-        if (rec != nullptr) traced_profit += scenario.pair_profit(p.ue, bs);
+        if (rec != nullptr)
+          traced_profit += scenario.candidate_profit(p.ue, scenario.candidate_slot(p.ue, bs));
       }
     }
     // dmra::hotpath end(solver-accept)

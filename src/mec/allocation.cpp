@@ -63,6 +63,31 @@ double total_profit(const Scenario& scenario, const Allocation& alloc) {
   return compute_profit(scenario, alloc).total;
 }
 
+double total_profit_over(const Scenario& scenario, const Allocation& alloc,
+                         std::span<const UeId> ues) {
+  DMRA_REQUIRE(alloc.num_ues() == scenario.num_ues());
+  std::vector<double> per_sp(scenario.num_sps(), 0.0);
+  const PricingConfig& pc = scenario.pricing();
+  for (std::size_t n = 0; n < ues.size(); ++n) {
+    const UeId u = ues[n];
+    DMRA_REQUIRE_MSG(n == 0 || ues[n - 1] < u, "ues must be strictly ascending");
+    const auto bs = alloc.bs_of(u);
+    if (!bs) continue;
+    const std::size_t k = scenario.candidate_slot(u, *bs);
+    DMRA_REQUIRE_MSG(k != Scenario::kNotCandidate, "a served pair must be a candidate");
+    // compute_profit's expression, term for term, so the bits agree.
+    const UserEquipment& e = scenario.ue(u);
+    const double crus = static_cast<double>(e.cru_demand);
+    const double revenue = crus * pc.m_k;
+    const double payment = crus * scenario.candidate_prices(u)[k];
+    const double other = crus * pc.m_k_o;
+    per_sp[e.sp.idx()] += revenue - payment - other;
+  }
+  double total = 0.0;
+  for (double w : per_sp) total += w;
+  return total;
+}
+
 double forwarded_traffic_bps(const Scenario& scenario, const Allocation& alloc) {
   DMRA_REQUIRE(alloc.num_ues() == scenario.num_ues());
   double sum = 0.0;

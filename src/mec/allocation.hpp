@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "mec/ids.hpp"
@@ -58,6 +59,14 @@ ProfitBreakdown compute_profit(const Scenario& scenario, const Allocation& alloc
 
 /// Total SP profit (Eq. 11) — shorthand for compute_profit(...).total.
 double total_profit(const Scenario& scenario, const Allocation& alloc);
+
+/// total_profit(scenario, alloc) bit for bit, in O(|ues|), when `ues`
+/// (strictly ascending) holds every UE `alloc` serves: compute_profit's
+/// per-SP sums in the same order, over `ues` only, each served pair priced
+/// from its candidate slot. For a caller that already lists the live UEs
+/// of a large slot universe (sim/churn's periodic re-solve).
+double total_profit_over(const Scenario& scenario, const Allocation& alloc,
+                         std::span<const UeId> ues);
 
 /// Fig. 7's metric: Σ w_u over cloud-forwarded UEs, in bit/s.
 double forwarded_traffic_bps(const Scenario& scenario, const Allocation& alloc);

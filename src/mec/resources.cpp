@@ -26,22 +26,22 @@ bool ResourceState::fits(const UserEquipment& e, BsId i, std::uint32_t n_rrbs) c
 }
 
 bool ResourceState::can_serve(UeId u, BsId i) const {
-  return fits(scenario_->ue(u), i, scenario_->link(u, i).n_rrbs);
+  // A pair that is not a candidate reads n = 0 and never fits.
+  return fits(scenario_->ue(u), i, scenario_->candidate_rrbs(u, i));
 }
 
-void ResourceState::commit(UeId u, BsId i) {
+void ResourceState::commit(UeId u, BsId i, std::uint32_t n_rrbs) {
   const UserEquipment& e = scenario_->ue(u);
-  const std::uint32_t n_rrbs = scenario_->link(u, i).n_rrbs;
   DMRA_REQUIRE_MSG(fits(e, i, n_rrbs), "commit on a BS that cannot serve the UE");
   crus_[cru_index(i, e.service)] -= e.cru_demand;
   rrbs_[i.idx()] -= n_rrbs;
 }
 
-void ResourceState::release(UeId u, BsId i) {
+void ResourceState::release(UeId u, BsId i, std::uint32_t n_rrbs) {
   const UserEquipment& e = scenario_->ue(u);
   const BaseStation& b = scenario_->bs(i);
   const std::uint32_t next_cru = crus_[cru_index(i, e.service)] + e.cru_demand;
-  const std::uint32_t next_rrb = rrbs_[i.idx()] + scenario_->link(u, i).n_rrbs;
+  const std::uint32_t next_rrb = rrbs_[i.idx()] + n_rrbs;
   DMRA_REQUIRE_MSG(next_cru <= b.cru_capacity[e.service.idx()],
                    "release exceeds the BS's CRU capacity (unpaired release?)");
   DMRA_REQUIRE_MSG(next_rrb <= b.num_rrbs,
@@ -61,20 +61,25 @@ void ResourceState::clamp_remaining(BsId i, const std::vector<std::uint32_t>& cr
   rrbs_[i.idx()] = std::min(rrbs_[i.idx()], rrb_cap);
 }
 
-void ResourceState::recount_remaining(BsId i, const Allocation& alloc) {
+void ResourceState::restore_capacity(BsId i) {
   const std::size_t ns = scenario_->num_services();
   const BaseStation& b = scenario_->bs(i);
   for (std::size_t j = 0; j < ns; ++j) crus_[i.idx() * ns + j] = b.cru_capacity[j];
   rrbs_[i.idx()] = b.num_rrbs;
+}
+
+void ResourceState::recount_remaining(BsId i, const Allocation& alloc) {
+  restore_capacity(i);
   for (std::size_t ui = 0; ui < alloc.num_ues(); ++ui) {
     const UeId u{static_cast<std::uint32_t>(ui)};
     const auto bs = alloc.bs_of(u);
     if (!bs || *bs != i) continue;
     const UserEquipment& e = scenario_->ue(u);
-    const std::uint32_t demand_rrbs = scenario_->link(u, i).n_rrbs;
-    DMRA_REQUIRE_MSG(crus_[cru_index(i, e.service)] >= e.cru_demand &&
+    const std::uint32_t demand_rrbs = scenario_->candidate_rrbs(u, i);
+    DMRA_REQUIRE_MSG(demand_rrbs != 0 && crus_[cru_index(i, e.service)] >= e.cru_demand &&
                          rrbs_[i.idx()] >= demand_rrbs,
-                     "recount_remaining: allocation overcommits the BS");
+                     "recount_remaining: allocation overcommits the BS or assigns a "
+                     "non-candidate");
     crus_[cru_index(i, e.service)] -= e.cru_demand;
     rrbs_[i.idx()] -= demand_rrbs;
   }

@@ -31,16 +31,19 @@ class ResourceState {
   /// Remaining RRBs at BS i.
   std::uint32_t remaining_rrbs(BsId i) const { return rrbs_[i.idx()]; }
 
-  /// True iff BS i can currently serve UE u: hosts the service, has the
-  /// CRUs, and has the RRBs (per the precomputed n(u,i)).
+  /// True iff BS i can currently serve UE u: i is one of u's candidates
+  /// and has the CRUs and the RRBs (n(u,i) from u's candidate row).
   bool can_serve(UeId u, BsId i) const;
 
-  /// Deduct u's demands from i. Requires can_serve(u, i).
-  void commit(UeId u, BsId i);
+  /// Deduct u's demands from i. `n_rrbs` is n(u,i), which the caller
+  /// already holds from u's candidate row (candidate_rrbs(u)[k], a
+  /// proposal's n_rrbs, or Scenario::candidate_rrbs(u, i) for a caller
+  /// that holds only the BS). Requires that i can carry it.
+  void commit(UeId u, BsId i, std::uint32_t n_rrbs);
 
-  /// Return u's demands to i (inverse of commit). The caller is
-  /// responsible for pairing releases with prior commits.
-  void release(UeId u, BsId i);
+  /// Return u's demands to i (inverse of commit, with the same n(u,i)).
+  /// The caller is responsible for pairing releases with prior commits.
+  void release(UeId u, BsId i, std::uint32_t n_rrbs);
 
   /// Lower i's remaining resources to at most the given levels (per-service
   /// CRUs, then RRBs); levels already below the caps are kept. Used by the
@@ -51,12 +54,16 @@ class ResourceState {
   void clamp_remaining(BsId i, const std::vector<std::uint32_t>& cru_caps,
                        std::uint32_t rrb_cap);
 
+  /// Reset i's remaining resources to its full scenario capacity, as if
+  /// it served nobody. A caller that knows who i still serves commits
+  /// them again afterwards (IncrementalAllocator::recover_bs).
+  void restore_capacity(BsId i);
+
   /// Recompute i's remaining resources from scratch: full scenario
   /// capacity minus the demands of every UE `alloc` currently assigns to
-  /// i. The inverse of clamp_remaining for fault recovery — a BS that
-  /// returns from an outage or degradation gets its nominal capacity back
-  /// minus whatever it is (still) serving. O(|U|); recovery events are
-  /// rare, so the scan is off every hot path.
+  /// i. O(|U|): the reference that tests hold a BS's recovered ledger to;
+  /// IncrementalAllocator::recover_bs gets the same levels from
+  /// restore_capacity plus a commit per active slot the BS still serves.
   void recount_remaining(BsId i, const Allocation& alloc);
 
   /// Total remaining CRUs at i summed over services + remaining RRBs —

@@ -168,6 +168,33 @@ class Scenario {
             cand_offsets_[u.idx() + 1] - cand_offsets_[u.idx()]};
   }
 
+  /// Row-local slot of BS i in u's candidate row (candidates(u)[k] == i),
+  /// or kNotCandidate. One search of the row, for callers that hold only
+  /// a BS; every served pair is a candidate, since a ledger commit needs
+  /// n(u,i) > 0 and the capacity to carry it.
+  static constexpr std::size_t kNotCandidate = static_cast<std::size_t>(-1);
+  std::size_t candidate_slot(UeId u, BsId i) const {
+    const std::span<const BsId> cands = candidates(u);
+    for (std::size_t k = 0; k < cands.size(); ++k)
+      if (cands[k] == i) return k;
+    return kNotCandidate;
+  }
+
+  /// n(u,i) read from u's candidate row by candidate_slot; 0 when i is not
+  /// a candidate of u, so a ledger op on the pair fails its fit check.
+  std::uint32_t candidate_rrbs(UeId u, BsId i) const {
+    const std::size_t k = candidate_slot(u, i);
+    return k == kNotCandidate ? 0 : cand_rrbs_[cand_offsets_[u.idx()] + k];
+  }
+
+  /// pair_profit(u, candidates(u)[k]) from the slot's price, bit for bit:
+  /// the slot price is built with price()'s expression.
+  double candidate_profit(UeId u, std::size_t k) const {
+    const double margin =
+        data_.pricing.m_k - cand_price_[cand_offsets_[u.idx()] + k] - data_.pricing.m_k_o;
+    return static_cast<double>(ue(u).cru_demand) * margin;
+  }
+
   /// Base of u's row in the flat candidate-slot index space [0,
   /// num_candidate_slots()). Runtimes keep per-slot side arrays (e.g. the
   /// decentralized broadcast view) indexed by candidate_offset(u) + k.
@@ -178,11 +205,13 @@ class Scenario {
 
   bool same_sp(UeId u, BsId i) const { return ue(u).sp == bs(i).sp; }
 
-  /// p(i,u) of Eq. 9/10.
+  /// p(i,u) of Eq. 9/10, for any in-radius pair: a search of u's link row.
+  /// A loop that holds a candidate slot reads candidate_prices() instead.
   double price(UeId u, BsId i) const;
 
   /// The UE's SP's profit if u is served by i:
-  /// c_j^u · (m_k − p(i,u) − m_k^o).  Always > 0 per Eq. 16.
+  /// c_j^u · (m_k − p(i,u) − m_k^o).  Always > 0 per Eq. 16. Reads the
+  /// link like price(); candidate_profit is the slot-keyed form.
   double pair_profit(UeId u, BsId i) const;
 
  private:

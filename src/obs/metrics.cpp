@@ -14,27 +14,38 @@ ScopedTimer::~ScopedTimer() {
                  std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
 }
 
-void MetricsRegistry::add_counter(std::string_view name, std::uint64_t delta) {
-  const auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    counters_.emplace(std::string(name), delta);
+std::uint64_t& MetricsRegistry::counter_entry(std::string_view name) {
+  auto it = counters_.find(name);
+  if (it == counters_.end()) it = counters_.emplace(std::string(name), 0).first;
+  return it->second;
+}
+
+double& MetricsRegistry::gauge_entry(std::string_view name) {
+  auto it = gauges_.find(name);
+  if (it == gauges_.end()) it = gauges_.emplace(std::string(name), 0.0).first;
+  return it->second;
+}
+
+void MetricsRegistry::window_gauge(std::string_view name, double value) {
+  if (const auto it = window_gauge_last_.find(name); it != window_gauge_last_.end()) {
+    it->second = value;
   } else {
-    it->second += delta;
+    window_gauge_last_.emplace(std::string(name), value);
+  }
+  if (const auto it = window_gauge_max_.find(name); it != window_gauge_max_.end()) {
+    if (value > it->second) it->second = value;
+  } else {
+    window_gauge_max_.emplace(std::string(name), value);
   }
 }
 
+void MetricsRegistry::add_counter(std::string_view name, std::uint64_t delta) {
+  counter_entry(name) += delta;
+}
+
 void MetricsRegistry::set_gauge(std::string_view name, double value) {
-  const auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    gauges_.emplace(std::string(name), value);
-  } else {
-    it->second = value;
-  }
-  if (window_open_) {
-    window_gauge_last_[std::string(name)] = value;
-    const auto [mit, fresh] = window_gauge_max_.emplace(std::string(name), value);
-    if (!fresh && value > mit->second) mit->second = value;
-  }
+  gauge_entry(name) = value;
+  if (window_open_) window_gauge(name, value);
 }
 
 void MetricsRegistry::begin_windows(std::uint64_t window_len) {

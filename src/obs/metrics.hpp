@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
@@ -40,6 +41,39 @@ struct MetricsWindow {
 
 class MetricsRegistry;
 
+/// An interned counter of one registry: the first add() finds or creates
+/// the named entry, later ones update it in place (std::map nodes never
+/// move), so a per-event site pays no name lookup. A handle that is never
+/// used leaves no entry, like a name that is never added to. The registry
+/// and the name must outlive the handle; a handle built on a null
+/// registry must not be used.
+class CounterHandle {
+ public:
+  CounterHandle(MetricsRegistry* registry, std::string_view name)
+      : registry_(registry), name_(name) {}
+  void add(std::uint64_t delta = 1);
+
+ private:
+  MetricsRegistry* registry_;
+  std::string_view name_;
+  std::uint64_t* value_ = nullptr;  // the entry, once resolved
+};
+
+/// An interned gauge: set() writes the entry in place after its first
+/// use and, while a window is open, updates the window's last/max like
+/// MetricsRegistry::set_gauge.
+class GaugeHandle {
+ public:
+  GaugeHandle(MetricsRegistry* registry, std::string_view name)
+      : registry_(registry), name_(name) {}
+  void set(double value);
+
+ private:
+  MetricsRegistry* registry_;
+  std::string_view name_;
+  double* value_ = nullptr;
+};
+
 /// RAII wall-clock scope feeding a named TimerStat on destruction.
 class ScopedTimer {
  public:
@@ -56,7 +90,8 @@ class ScopedTimer {
 
 /// Named counters (monotonic uint64), gauges (last-set double), and
 /// timers. Names are created on first use; std::map keeps every export
-/// deterministically ordered.
+/// deterministically ordered. A site that updates one name per event
+/// holds a CounterHandle or GaugeHandle instead of passing the name.
 class MetricsRegistry {
  public:
   void add_counter(std::string_view name, std::uint64_t delta = 1);
@@ -103,8 +138,17 @@ class MetricsRegistry {
   Table to_table() const;
 
  private:
+  friend class CounterHandle;
+  friend class GaugeHandle;
+
   MetricsWindow current_window() const;
   void open_window(std::uint64_t logical_index);
+  /// The entry of `name`, created at zero on first use.
+  std::uint64_t& counter_entry(std::string_view name);
+  double& gauge_entry(std::string_view name);
+  /// The open window's last/max bookkeeping for one gauge write; it
+  /// allocates only the first time a name is written in a window.
+  void window_gauge(std::string_view name, double value);
 
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
@@ -118,9 +162,20 @@ class MetricsRegistry {
   std::uint64_t window_first_tick_ = 0;
   std::uint64_t window_last_tick_ = 0;
   std::map<std::string, std::uint64_t, std::less<>> window_snapshot_;
-  std::map<std::string, double> window_gauge_last_;
-  std::map<std::string, double> window_gauge_max_;
+  std::map<std::string, double, std::less<>> window_gauge_last_;
+  std::map<std::string, double, std::less<>> window_gauge_max_;
   std::vector<MetricsWindow> windows_;
 };
+
+inline void CounterHandle::add(std::uint64_t delta) {
+  if (value_ == nullptr) value_ = &registry_->counter_entry(name_);
+  *value_ += delta;
+}
+
+inline void GaugeHandle::set(double value) {
+  if (value_ == nullptr) value_ = &registry_->gauge_entry(name_);
+  *value_ = value;
+  if (registry_->window_open_) registry_->window_gauge(name_, value);
+}
 
 }  // namespace dmra::obs

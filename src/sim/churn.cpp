@@ -244,6 +244,12 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
   // per-event timeline narrative, counters, and round aggregates.
   obs::FlightRecorder* const fr = obs::flight();
   if (fr != nullptr) fr->reserve_agents(universe.num_ues(), universe.num_bss());
+  // The per-event and per-readmission metrics, interned: each handle finds
+  // its registry entry once. Used only while fr != nullptr.
+  obs::MetricsRegistry* const fm = fr != nullptr ? &fr->metrics() : nullptr;
+  obs::CounterHandle m_arrivals(fm, "churn.arrivals"), m_departures(fm, "churn.departures"),
+      m_moves(fm, "churn.moves"), m_readmitted(fm, "churn.readmitted");
+  obs::GaugeHandle m_active(fm, "churn.active"), m_cloud_active(fm, "churn.cloud_active");
 
   // SLO tracking (ChurnConfig::slo_p99_ns): wall-clock-driven, so the
   // report and any breach-triggered dump stay OUTSIDE the deterministic
@@ -480,14 +486,13 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
     record_timeline(rec, to_string(ev.kind), ev.ue, decided, idx);
     stats.peak_active = std::max(stats.peak_active, alloc.num_active());
     if (fr != nullptr) {
-      obs::MetricsRegistry& m = fr->metrics();
       switch (ev.kind) {
-        case ChurnEventKind::kArrival: m.add_counter("churn.arrivals"); break;
-        case ChurnEventKind::kDeparture: m.add_counter("churn.departures"); break;
-        case ChurnEventKind::kMove: m.add_counter("churn.moves"); break;
+        case ChurnEventKind::kArrival: m_arrivals.add(); break;
+        case ChurnEventKind::kDeparture: m_departures.add(); break;
+        case ChurnEventKind::kMove: m_moves.add(); break;
       }
-      m.set_gauge("churn.active", static_cast<double>(alloc.num_active()));
-      m.set_gauge("churn.cloud_active", static_cast<double>(cloud_active));
+      m_active.set(static_cast<double>(alloc.num_active()));
+      m_cloud_active.set(static_cast<double>(cloud_active));
     }
 
     // 3. Drain the crash backlog: recovery_batch re-placement attempts.
@@ -502,7 +507,7 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
       if (placed) {
         ++stats.readmitted;
         --cloud_active;
-        if (fr != nullptr) fr->metrics().add_counter("churn.readmitted");
+        if (fr != nullptr) m_readmitted.add();
         log += "e=";
         append_num(log, idx);
         log += " recover slot=";
@@ -526,7 +531,7 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
       alloc.readmit_waiting([&](UeId u, BsId placed) {
         ++stats.readmitted;
         --cloud_active;
-        if (fr != nullptr) fr->metrics().add_counter("churn.readmitted");
+        if (fr != nullptr) m_readmitted.add();
         log += "e=";
         append_num(log, idx);
         log += " readmit slot=";
@@ -555,18 +560,18 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
           world_crus[i * ns + j] = alloc.state().remaining_crus(
               bs, ServiceId{static_cast<std::uint32_t>(j)});
       }
-      std::vector<UeId> active;  // the proposers; inactive slots sit out
+      // The proposers, ascending; inactive slots sit out and stay at the
+      // cloud, so the walk and the profit below are O(live).
+      std::vector<UeId> active;
       active.reserve(alloc.num_active());
-      for (std::size_t si = 0; si < universe.num_ues(); ++si) {
-        const UeId u{static_cast<std::uint32_t>(si)};
-        if (!alloc.active(u)) continue;
+      alloc.for_each_active([&](UeId u) {
         active.push_back(u);
         if (const auto bs = alloc.allocation().bs_of(u)) {
           const UserEquipment& e = universe.ue(u);
           world_crus[bs->idx() * ns + e.service.idx()] += e.cru_demand;
-          world_rrbs[bs->idx()] += universe.link(u, *bs).n_rrbs;
+          world_rrbs[bs->idx()] += universe.candidate_rrbs(u, *bs);
         }
-      }
+      });
       ResourceState scratch(universe);
       std::vector<std::uint32_t> caps(ns);
       for (std::size_t i = 0; i < nb; ++i) {
@@ -580,7 +585,7 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
         audit::ScopedAuditObserver mute_audit(nullptr);
         solve_dmra_partial(universe, config.incremental.dmra, scratch, scratch_alloc, active);
       }
-      const double scratch_profit = total_profit(universe, scratch_alloc);
+      const double scratch_profit = total_profit_over(universe, scratch_alloc, active);
       const double live = alloc.live_profit();
       const double gap = scratch_profit > 0.0
                              ? std::max(0.0, (scratch_profit - live) / scratch_profit)

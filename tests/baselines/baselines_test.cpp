@@ -71,7 +71,7 @@ TEST(NonCo, OneShotStrandsLosersWhileOtherBssHaveRoom) {
     ResourceState state(s);
     for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
       const UeId u{static_cast<std::uint32_t>(ui)};
-      if (const auto bs = a.bs_of(u)) state.commit(u, *bs);
+      if (const auto bs = a.bs_of(u)) state.commit(u, *bs, s.candidate_rrbs(u, *bs));
     }
     std::size_t stranded = 0;
     for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
@@ -204,7 +204,7 @@ TEST(NonCoIterative, NeverStrandsWithRoomLeft) {
   ResourceState state(s);
   for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
     const UeId u{static_cast<std::uint32_t>(ui)};
-    if (const auto bs = a.bs_of(u)) state.commit(u, *bs);
+    if (const auto bs = a.bs_of(u)) state.commit(u, *bs, s.candidate_rrbs(u, *bs));
   }
   for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
     const UeId u{static_cast<std::uint32_t>(ui)};

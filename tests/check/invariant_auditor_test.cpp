@@ -51,7 +51,7 @@ TEST(InvariantAuditor, ConsistentRoundPasses) {
   const Scenario s = test::two_bs_scenario(4);
   ResourceState state(s);
   Allocation alloc(4);
-  state.commit(UeId{0}, BsId{0});
+  state.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));
   alloc.assign(UeId{0}, BsId{0});
 
   InvariantAuditor auditor;
@@ -64,7 +64,7 @@ TEST(InvariantAuditor, CorruptedLedgerLeakIsFlagged) {
   const Scenario s = test::two_bs_scenario(4);
   ResourceState state(s);
   Allocation alloc(4);
-  state.commit(UeId{0}, BsId{0});
+  state.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));
   alloc.assign(UeId{0}, BsId{0});
 
   // Inject drift: the ledger claims one CRU more than the recount allows
@@ -87,8 +87,8 @@ TEST(InvariantAuditor, DoubleCommitIsFlagged) {
   Allocation alloc(4);
   // The ledger pays twice for one assignment — exactly what a re-proposal
   // committed twice (lost-ack bug) would look like.
-  state.commit(UeId{0}, BsId{0});
-  state.commit(UeId{0}, BsId{0});
+  state.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));
+  state.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));
   alloc.assign(UeId{0}, BsId{0});
 
   InvariantAuditor auditor(AuditorOptions{.throw_on_violation = false});
@@ -136,7 +136,7 @@ TEST(InvariantAuditor, MonotonicProfitViolationIsFlagged) {
 
   ResourceState round0_state(s);
   Allocation round0(4);
-  round0_state.commit(UeId{0}, BsId{0});
+  round0_state.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));
   round0.assign(UeId{0}, BsId{0});
 
   ResourceState round1_state(s);  // full capacity again
@@ -155,7 +155,7 @@ TEST(InvariantAuditor, ProfitBaselineResetsBetweenRuns) {
   const Scenario s = test::two_bs_scenario(4);
   ResourceState state(s);
   Allocation assigned(4);
-  state.commit(UeId{0}, BsId{0});
+  state.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));
   assigned.assign(UeId{0}, BsId{0});
   const ResourceState fresh(s);
   const Allocation empty(4);
@@ -170,7 +170,8 @@ TEST(InvariantAuditor, ResetClearsFindings) {
   const Scenario s = test::two_bs_scenario(4);
   ResourceState state(s);
   Allocation alloc(4);
-  state.commit(UeId{0}, BsId{0});  // committed but never assigned: drift
+  // Committed but never assigned: drift.
+  state.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));
   InvariantAuditor auditor(AuditorOptions{.throw_on_violation = false});
   auditor.on_round(make_context(s, alloc, state));
   ASSERT_FALSE(auditor.findings().ok);
@@ -317,7 +318,7 @@ TEST(Auditor, EnvVarInstallsThrowingProcessAuditor) {
         const Scenario s = test::two_bs_scenario(4);
         ResourceState state(s);
         Allocation alloc(4);
-        state.commit(UeId{0}, BsId{0});
+        state.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));
         alloc.assign(UeId{0}, BsId{0});
         auto ctx = make_context(s, alloc, state);
         ctx.ledger.crus[s.ue(UeId{0}).service.idx()] += 1;

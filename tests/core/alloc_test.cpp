@@ -20,6 +20,7 @@
 #include "core/decentralized.hpp"
 #include "net/fault_plan.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "util/alloc_count.hpp"
 #include "util/alloc_hook.hpp"
 #include "workload/generator.hpp"
@@ -179,6 +180,27 @@ TEST(AllocBudget, ShardedSteadyStateIsAllocationFreeWithFlightRecorder) {
   EXPECT_GT(flight.rounds_seen(), 0u);
   EXPECT_EQ(r.alloc.steady_state_allocations, 0u)
       << "shard rounds past the settle window must not touch the heap";
+}
+
+TEST(AllocBudget, WindowedGaugeUpdatesAllocateOnlyOnFirstUse) {
+  // serve_churn --metrics-window=N sets churn.cloud_active (past the
+  // short-string buffer) on every event: inside one open window, only the
+  // first write of a name may allocate, by name or through a handle.
+  allocprobe::install();
+  obs::MetricsRegistry m;
+  m.begin_windows(1 << 20);
+  m.window_tick(0);
+  obs::GaugeHandle active(&m, "churn.active");
+  m.set_gauge("churn.cloud_active", 0.0);
+  active.set(0.0);
+  const std::uint64_t before = allocprobe::thread_count();
+  for (std::uint64_t tick = 1; tick <= 1000; ++tick) {
+    m.window_tick(tick);
+    m.set_gauge("churn.cloud_active", static_cast<double>(tick % 17));
+    active.set(static_cast<double>(tick % 13));
+  }
+  EXPECT_EQ(allocprobe::thread_count() - before, 0u);
+  EXPECT_EQ(m.collect_windows().at(0).gauge_max.at("churn.cloud_active"), 16.0);
 }
 
 TEST(AllocBudget, CountersZeroWhenNotMeasuring) {

@@ -280,6 +280,63 @@ TEST(IncrementalAllocator, DegradeScalesRemainingAndRecoverRecounts) {
   }
 }
 
+TEST(IncrementalAllocator, ActiveWalkCrashAndRecoverMatchFullScans) {
+  // for_each_active lists what a scan of active() lists, ascending;
+  // crash_bs, which walks it, orphans exactly the slots a scan of the
+  // allocation finds on the BS, in that order; and recover_bs, which
+  // recommits from it, leaves the BS where a recount over the whole
+  // allocation puts it.
+  ScenarioConfig cfg;
+  cfg.num_ues = 1200;
+  const Scenario s = generate_scenario(cfg, 7);
+  IncrementalAllocator inc(s);
+  Rng rng("active-walk", 7);
+  std::size_t crashes = 0, recoveries = 0;
+  for (std::size_t step = 0; step < 3000; ++step) {
+    const std::size_t op = rng.index(100);
+    const BsId i{static_cast<std::uint32_t>(rng.index(s.num_bss()))};
+    if (op < 85) {
+      const UeId u{static_cast<std::uint32_t>(rng.index(s.num_ues()))};
+      if (inc.active(u))
+        inc.remove(u);
+      else
+        inc.admit(u);
+    } else if (op < 91) {
+      std::vector<UeId> expected;
+      for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
+        const UeId u{static_cast<std::uint32_t>(ui)};
+        if (const auto bs = inc.allocation().bs_of(u); bs && *bs == i) expected.push_back(u);
+      }
+      std::vector<UeId> orphans;
+      EXPECT_EQ(inc.crash_bs(i, orphans), expected.size());
+      ASSERT_EQ(orphans, expected) << "step " << step;
+      crashes += expected.empty() ? 0 : 1;
+    } else if (op < 95) {
+      inc.degrade_bs(i, 0.5, 0.5);
+    } else {
+      inc.recover_bs(i);
+      ResourceState recount(s);
+      recount.recount_remaining(i, inc.allocation());
+      ASSERT_EQ(inc.state().remaining_rrbs(i), recount.remaining_rrbs(i)) << "step " << step;
+      for (std::size_t j = 0; j < s.num_services(); ++j) {
+        const ServiceId sj{static_cast<std::uint32_t>(j)};
+        ASSERT_EQ(inc.state().remaining_crus(i, sj), recount.remaining_crus(i, sj));
+      }
+      ++recoveries;
+    }
+    std::vector<UeId> walked, scanned;
+    inc.for_each_active([&](UeId u) { walked.push_back(u); });
+    for (std::size_t ui = 0; ui < s.num_ues(); ++ui)
+      if (inc.active(UeId{static_cast<std::uint32_t>(ui)}))
+        scanned.push_back(UeId{static_cast<std::uint32_t>(ui)});
+    ASSERT_EQ(walked, scanned) << "step " << step;
+    ASSERT_EQ(walked.size(), inc.num_active());
+  }
+  EXPECT_GT(crashes, 0u);
+  EXPECT_GT(recoveries, 0u);
+  EXPECT_NEAR(inc.live_profit(), total_profit(s, inc.allocation()), 1e-6);
+}
+
 // ---- readmit_waiting: the waiting-set walk against the full scan ----------
 
 using Placements = std::vector<std::pair<std::uint32_t, std::uint32_t>>;

@@ -32,7 +32,7 @@ TEST(PartialSolver, PreMatchedUesNeverPropose) {
     const UeId u{ui};
     const auto bs = full.bs_of(u);
     if (ui < 20 && bs) {
-      state.commit(u, *bs);
+      state.commit(u, *bs, s.candidate_rrbs(u, *bs));
       alloc.assign(u, *bs);
       ++premarked;
     } else {
@@ -74,7 +74,7 @@ TEST(PartialSolver, RespectsDepletedState) {
   ResourceState state(s);
   Allocation alloc(s.num_ues());
   // Externally consume the only slot for UE 1's benefit.
-  state.commit(UeId{1}, BsId{0});
+  state.commit(UeId{1}, BsId{0}, s.candidate_rrbs(UeId{1}, BsId{0}));
   alloc.assign(UeId{1}, BsId{0});
   const UeId proposer{0};
   const DmraResult r = solve_dmra_partial(s, {}, state, alloc, {&proposer, 1});

@@ -77,7 +77,8 @@ TEST(UePreference, ExhaustedBsIsInfinitelyUnattractive) {
   ms.add_ue(sp, {20, 0}, ServiceId{0}, 4, 2e6);
   const Scenario s = ms.build();
   ResourceState rs(s);
-  rs.commit(UeId{1}, BsId{0});  // consumes all 4 CRUs and the only RRB
+  // Consumes all 4 CRUs and the only RRB.
+  rs.commit(UeId{1}, BsId{0}, s.candidate_rrbs(UeId{1}, BsId{0}));
   EXPECT_TRUE(std::isinf(preference(s, rs, UeId{0}, BsId{0}, 10.0)));
   // With rho = 0 the resource term is absent and the price stays finite.
   EXPECT_TRUE(std::isfinite(preference(s, rs, UeId{0}, BsId{0}, 0.0)));
@@ -92,7 +93,7 @@ TEST(UePreference, LessLoadedBsWinsAtEqualPrice) {
   ms.add_ue(sp, {40, 10}, ServiceId{0});
   const Scenario s = ms.build();
   ResourceState rs(s);
-  rs.commit(UeId{1}, BsId{0});  // load BS 0
+  rs.commit(UeId{1}, BsId{0}, s.candidate_rrbs(UeId{1}, BsId{0}));  // load BS 0
   EXPECT_GT(preference(s, rs, UeId{0}, BsId{0}, 100.0),
             preference(s, rs, UeId{0}, BsId{1}, 100.0));
 }
@@ -133,7 +134,8 @@ TEST(LiveCoverage, TracksResourceDepletion) {
   const auto view = state_view(s, rs, UeId{0});
   LiveCandidates b_u = full_rows(s);
   EXPECT_EQ(propose_soa(s, b_u, UeId{0}, 100.0, view).f_u, 2u);
-  rs.commit(UeId{1}, BsId{0});  // exhausts BS 0's service-0 CRUs
+  // Exhausts BS 0's service-0 CRUs.
+  rs.commit(UeId{1}, BsId{0}, s.candidate_rrbs(UeId{1}, BsId{0}));
   EXPECT_EQ(propose_soa(s, b_u, UeId{0}, 100.0, view).f_u, 1u);
 }
 
@@ -161,7 +163,7 @@ TEST(ChooseProposal, ErasesUnserviceableAndFallsBack) {
   ms.add_ue(sp, {10, 0}, ServiceId{0}, 4);
   const Scenario s = ms.build();
   ResourceState rs(s);
-  rs.commit(UeId{1}, BsId{0});  // BS 0 out of CRUs
+  rs.commit(UeId{1}, BsId{0}, s.candidate_rrbs(UeId{1}, BsId{0}));  // BS 0 out of CRUs
   LiveCandidates b_u = full_rows(s);
   ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
   // With a small rho the near (cheap) BS 0 is still the argmin; it is
@@ -181,7 +183,7 @@ TEST(ChooseProposal, DoesNotEraseBsesItNeverPicked) {
   ms.add_ue(sp, {10, 0}, ServiceId{0}, 4);
   const Scenario s = ms.build();
   ResourceState rs(s);
-  rs.commit(UeId{1}, BsId{0});
+  rs.commit(UeId{1}, BsId{0}, s.candidate_rrbs(UeId{1}, BsId{0}));
   LiveCandidates b_u = full_rows(s);
   ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
   // A huge rho makes the exhausted BS 0 infinitely unattractive: BS 1 is
@@ -200,7 +202,7 @@ TEST(ChooseProposal, ReturnsNulloptWhenExhausted) {
   ms.add_ue(sp, {10, 0}, ServiceId{0}, 4);
   const Scenario s = ms.build();
   ResourceState rs(s);
-  rs.commit(UeId{1}, BsId{0});
+  rs.commit(UeId{1}, BsId{0}, s.candidate_rrbs(UeId{1}, BsId{0}));
   LiveCandidates b_u = full_rows(s);
   ASSERT_EQ(live_bss(s, b_u, UeId{0}), (std::vector<BsId>{BsId{0}}));
   EXPECT_FALSE(

@@ -123,7 +123,7 @@ TEST_P(SolverProperty, FeasibleTerminatingAndLocallyMaximal) {
   ResourceState final_state(s);
   for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
     const UeId u{static_cast<std::uint32_t>(ui)};
-    if (const auto bs = r.allocation.bs_of(u)) final_state.commit(u, *bs);
+    if (const auto bs = r.allocation.bs_of(u)) final_state.commit(u, *bs, s.candidate_rrbs(u, *bs));
   }
   for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
     const UeId u{static_cast<std::uint32_t>(ui)};

@@ -28,7 +28,7 @@ TEST(Resources, CommitDeductsBothResources) {
   const BsId i{0};
   const auto crus_before = rs.remaining_crus(i, s.ue(u).service);
   const auto rrbs_before = rs.remaining_rrbs(i);
-  rs.commit(u, i);
+  rs.commit(u, i, s.candidate_rrbs(u, i));
   EXPECT_EQ(rs.remaining_crus(i, s.ue(u).service), crus_before - s.ue(u).cru_demand);
   EXPECT_EQ(rs.remaining_rrbs(i), rrbs_before - s.link(u, i).n_rrbs);
 }
@@ -38,8 +38,8 @@ TEST(Resources, ReleaseInvertsCommit) {
   ResourceState rs(s);
   const UeId u{1};
   const BsId i{1};
-  rs.commit(u, i);
-  rs.release(u, i);
+  rs.commit(u, i, s.candidate_rrbs(u, i));
+  rs.release(u, i, s.candidate_rrbs(u, i));
   EXPECT_EQ(rs.remaining_crus(i, s.ue(u).service), s.bs(i).cru_capacity[s.ue(u).service.idx()]);
   EXPECT_EQ(rs.remaining_rrbs(i), s.bs(i).num_rrbs);
 }
@@ -47,7 +47,7 @@ TEST(Resources, ReleaseInvertsCommit) {
 TEST(Resources, UnpairedReleaseIsContractViolation) {
   const Scenario s = test::two_bs_scenario();
   ResourceState rs(s);
-  EXPECT_THROW(rs.release(UeId{0}, BsId{0}), ContractViolation);
+  EXPECT_THROW(rs.release(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0})), ContractViolation);
 }
 
 TEST(Resources, CanServeFalseWhenCrusExhausted) {
@@ -59,7 +59,7 @@ TEST(Resources, CanServeFalseWhenCrusExhausted) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   EXPECT_TRUE(rs.can_serve(UeId{0}, BsId{0}));
-  rs.commit(UeId{0}, BsId{0});  // 3 CRUs left < 4 demanded
+  rs.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));  // 3 CRUs left < 4 demanded
   EXPECT_FALSE(rs.can_serve(UeId{1}, BsId{0}));
 }
 
@@ -72,7 +72,7 @@ TEST(Resources, CanServeFalseWhenRrbsExhausted) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   ASSERT_TRUE(rs.can_serve(UeId{1}, BsId{0}));
-  rs.commit(UeId{0}, BsId{0});
+  rs.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));
   EXPECT_FALSE(rs.can_serve(UeId{1}, BsId{0}));  // 1 RRB left < 2 needed
 }
 
@@ -93,7 +93,8 @@ TEST(Resources, CommitWithoutCapacityIsContractViolation) {
   ms.add_ue(sp, {10, 0}, ServiceId{0}, 4);
   const Scenario s = ms.build();
   ResourceState rs(s);
-  EXPECT_THROW(rs.commit(UeId{0}, BsId{0}), ContractViolation);
+  EXPECT_THROW(rs.commit(UeId{0}, BsId{0}, s.link(UeId{0}, BsId{0}).n_rrbs),
+               ContractViolation);
 }
 
 TEST(Resources, PreferenceDenominatorSumsServiceCrusAndRrbs) {

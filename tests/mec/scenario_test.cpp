@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -260,6 +263,48 @@ TEST(ScenarioLinkBuild, SparseMatchesDenseAcrossRandomConfigs) {
   dense.area_side_m = 3000.0;
   dense.num_ues = 4000;
   expect_matches_reference(generate_scenario(dense, 1), "dense");
+}
+
+/// Every candidate slot against the link store, bit for bit: the serving
+/// path reads n(u,i), the price and the pair profit from the slot and
+/// never searches the link store, so the two must not differ in one ulp.
+void expect_slots_match_links(const Scenario& s, const std::string& label) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const UserEquipment& e : s.ues()) {
+    const auto cands = s.candidates(e.id);
+    const auto rrbs = s.candidate_rrbs(e.id);
+    const auto prices = s.candidate_prices(e.id);
+    for (std::size_t k = 0; k < cands.size(); ++k) {
+      const BsId i = cands[k];
+      ASSERT_EQ(rrbs[k], s.link(e.id, i).n_rrbs) << label << " ue=" << e.id.value;
+      ASSERT_EQ(bits(prices[k]), bits(s.price(e.id, i))) << label << " ue=" << e.id.value;
+      ASSERT_EQ(bits(s.candidate_profit(e.id, k)), bits(s.pair_profit(e.id, i)))
+          << label << " ue=" << e.id.value;
+      ASSERT_EQ(s.candidate_slot(e.id, i), k) << label;
+      ASSERT_EQ(s.candidate_rrbs(e.id, i), rrbs[k]) << label;
+    }
+    for (const BaseStation& b : s.bss()) {
+      if (std::find(cands.begin(), cands.end(), b.id) != cands.end()) continue;
+      ASSERT_EQ(s.candidate_slot(e.id, b.id), Scenario::kNotCandidate) << label;
+      ASSERT_EQ(s.candidate_rrbs(e.id, b.id), 0u) << label;
+    }
+  }
+}
+
+TEST(ScenarioLinkBuild, CandidateSlotsAgreeWithTheLinkStore) {
+  ScenarioConfig paper;
+  paper.num_ues = 800;
+  expect_slots_match_links(generate_scenario(paper, 1), "paper");
+  ScenarioConfig dense;
+  dense.bss_per_sp = 20;
+  dense.area_side_m = 3000.0;
+  dense.num_ues = 4000;
+  expect_slots_match_links(generate_scenario(dense, 1), "dense");
+  ScenarioConfig shadowed = dense;
+  shadowed.num_ues = 2000;
+  shadowed.channel.shadowing_sigma_db = 8.0;
+  shadowed.channel.shadowing_seed = 5;
+  expect_slots_match_links(generate_scenario(shadowed, 2), "shadowed");
 }
 
 TEST(ScenarioLinkBuild, FarFinitePositionsStayInTheSparseGrid) {

@@ -350,6 +350,68 @@ TEST(MetricsWindows, MergeAppendsShardWindowsInOrder) {
   EXPECT_EQ(parent.windows()[1].counter_deltas.at("s"), 1u);
 }
 
+/// One update sequence shaped like sim/churn's per-event metrics, written
+/// through names or through interned handles. "churn.cloud_active" is
+/// written by name in both registries once, so a handle also meets an
+/// entry that already exists. Two handles are never used.
+void drive_churn_metrics(MetricsRegistry& m, bool handles) {
+  CounterHandle arrivals(&m, "churn.arrivals");
+  CounterHandle readmitted(&m, "churn.readmitted");
+  GaugeHandle active(&m, "churn.active");
+  GaugeHandle cloud(&m, "churn.cloud_active");
+  // Never used: must leave no entry.
+  [[maybe_unused]] const CounterHandle never(&m, "churn.never");
+  [[maybe_unused]] const GaugeHandle never_gauge(&m, "churn.never_gauge");
+  m.set_gauge("churn.cloud_active", 7.0);
+  for (std::uint64_t tick = 0; tick < 11; ++tick) {
+    m.window_tick(tick);
+    const double a = static_cast<double>((tick * 5) % 7);
+    const double c = 10.0 - static_cast<double>(tick);
+    if (handles) {
+      arrivals.add();
+      if (tick % 3 == 0) readmitted.add(2);
+      active.set(a);
+      cloud.set(c);
+    } else {
+      m.add_counter("churn.arrivals");
+      if (tick % 3 == 0) m.add_counter("churn.readmitted", 2);
+      m.set_gauge("churn.active", a);
+      m.set_gauge("churn.cloud_active", c);
+    }
+  }
+}
+
+void expect_same_windows(const std::vector<MetricsWindow>& a,
+                         const std::vector<MetricsWindow>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    EXPECT_EQ(a[w].first_tick, b[w].first_tick);
+    EXPECT_EQ(a[w].last_tick, b[w].last_tick);
+    EXPECT_EQ(a[w].counter_deltas, b[w].counter_deltas);
+    EXPECT_EQ(a[w].gauge_last, b[w].gauge_last);
+    EXPECT_EQ(a[w].gauge_max, b[w].gauge_max);
+  }
+}
+
+TEST(MetricsHandles, ExportsMatchNameKeyedUpdatesWithWindowsOffAndArmed) {
+  for (const std::uint64_t window_len : {std::uint64_t{0}, std::uint64_t{4}}) {
+    MetricsRegistry by_name;
+    MetricsRegistry by_handle;
+    by_name.begin_windows(window_len);
+    by_handle.begin_windows(window_len);
+    drive_churn_metrics(by_name, /*handles=*/false);
+    drive_churn_metrics(by_handle, /*handles=*/true);
+    EXPECT_EQ(JsonValue(by_handle.deterministic_json()).dump(),
+              JsonValue(by_name.deterministic_json()).dump())
+        << "window_len=" << window_len;
+    EXPECT_EQ(to_prometheus_text(by_handle), to_prometheus_text(by_name));
+    expect_same_windows(by_handle.collect_windows(), by_name.collect_windows());
+    EXPECT_EQ(by_handle.collect_windows().empty(), window_len == 0);
+    EXPECT_EQ(to_prometheus_text(by_handle).find("never"), std::string::npos)
+        << "a handle that is never used must leave no entry";
+  }
+}
+
 TEST(Exposition, RendersCountersGaugesAndLabels) {
   MetricsRegistry m;
   m.add_counter("churn.arrivals", 12);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -19,6 +20,7 @@
 #include "mec/audit.hpp"
 #include "obs/recorder.hpp"
 #include "sim/feasibility.hpp"
+#include "util/rng.hpp"
 
 namespace dmra {
 namespace {
@@ -337,6 +339,36 @@ TEST(Handover, Deterministic) {
   ChurnConfig other = cfg;
   other.seed = cfg.seed + 1;
   EXPECT_NE(run_churn(other).event_log, a.event_log);
+}
+
+TEST(Churn, LiveProfitSumEqualsTheUniverseWalkBitForBit) {
+  // The periodic re-solve prices its scratch allocation over the
+  // proposers only (total_profit_over). On a churn universe where only
+  // the listed slots are served, that must be total_profit's walk of the
+  // whole universe to the last bit.
+  ChurnConfig cfg = small_config();
+  cfg.horizon_events = 3000;
+  const ChurnTimeline timeline = build_churn_timeline(cfg);
+  const Scenario& universe = timeline.universe;
+  ASSERT_GT(universe.num_sps(), 1u);
+  Rng rng("live-profit", 3);
+  for (int trial = 0; trial < 20; ++trial) {
+    Allocation alloc(universe.num_ues());
+    std::vector<UeId> listed;
+    for (std::size_t ui = 0; ui < universe.num_ues(); ++ui) {
+      const UeId u{static_cast<std::uint32_t>(ui)};
+      if (rng.uniform_int(0, 3) != 0) continue;  // unlisted: stays at the cloud
+      listed.push_back(u);
+      const auto cands = universe.candidates(u);
+      if (cands.empty() || rng.uniform_int(0, 4) == 0) continue;
+      alloc.assign(u, cands[static_cast<std::size_t>(
+                          rng.uniform_int(0, static_cast<std::int64_t>(cands.size()) - 1))]);
+    }
+    ASSERT_GT(alloc.num_served(), 0u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(total_profit_over(universe, alloc, listed)),
+              std::bit_cast<std::uint64_t>(total_profit(universe, alloc)))
+        << "trial " << trial;
+  }
 }
 
 TEST(Churn, ZeroArrivalDegenerate) {

@@ -165,7 +165,7 @@ TEST(Feasibility, LedgerConsistencyAcceptsTruthfulLedger) {
   const Scenario s = test::two_bs_scenario(4);
   ResourceState state(s);
   Allocation a(4);
-  state.commit(UeId{0}, BsId{0});
+  state.commit(UeId{0}, BsId{0}, s.candidate_rrbs(UeId{0}, BsId{0}));
   a.assign(UeId{0}, BsId{0});
   std::vector<std::uint32_t> crus(s.num_bss() * s.num_services());
   std::vector<std::uint32_t> rrbs(s.num_bss());

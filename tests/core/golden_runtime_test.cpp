@@ -30,6 +30,10 @@
 // crash recovery: bus traffic, proposals, profit bits, and recovery
 // counters that must stay zero.
 //
+// TimelineByteIdenticalAcrossWorkloads pins build_churn_timeline on its
+// own: the event sequence and the slot universe's link and candidate
+// rows, bit for bit, on the benchmark's serving workloads.
+//
 // Regenerating (only legitimate after an intentional semantic change):
 //   DMRA_GOLDEN_REGEN=1 ./build/tests/core_test
 //     --gtest_filter='GoldenRuntime.*' 2>/dev/null
@@ -66,6 +70,14 @@ std::uint64_t fnv1a(std::string_view bytes) {
   std::uint64_t h = 1469598103934665603ull;
   for (const unsigned char c : bytes) {
     h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a_words(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xffu;
     h *= 1099511628211ull;
   }
   return h;
@@ -227,6 +239,110 @@ constexpr GoldenServingRow kGoldenServing[kSeeds] = {
     {10ull, 0xc32150c0d2a74365ull, 119ull, 35ull, 201ull, 0x40afac94e56cecc1ull},
 };
 
+// Timeline probe: build_churn_timeline alone on the benchmark's dense
+// deployment (10x10 grid, 100 BSs, 3000 m), pinning the event sequence
+// and every link and candidate row of the slot universe.
+struct GoldenTimelineRow {
+  const char* name;
+  std::uint64_t seed;
+  std::uint64_t slots;
+  std::uint64_t candidate_slots;
+  std::uint64_t hash;  ///< FNV-1a over the events, then every UE's rows
+};
+
+/// The benchmark's three serving workloads at a 4000-event horizon, a
+/// static population below its steady state (arrivals and departures
+/// through the event heap), a prefill larger than the horizon with
+/// waypoint moves armed, and zero dwell (every arrival departs at its own
+/// instant). At this horizon dense_batch's prefill equals the horizon and
+/// serve_saturated's exceeds it, so both apply prefill arrivals only and
+/// share one universe.
+ChurnConfig timeline_probe_config(std::string_view name, std::uint64_t seed) {
+  ChurnConfig cfg;
+  cfg.deployment.bss_per_sp = 20;
+  cfg.deployment.area_side_m = 3000.0;
+  cfg.mean_dwell_s = 100.0;
+  cfg.horizon_events = 4000;
+  cfg.seed = seed;
+  if (name == "dense_batch") {
+    cfg.arrival_rate_hz = 40.0;
+  } else if (name == "serve_saturated") {
+    cfg.arrival_rate_hz = 60.0;
+  } else if (name == "serve_mobile") {
+    cfg.arrival_rate_hz = 20.0;
+    cfg.mean_move_interval_s = 10.0;
+  } else if (name == "static_churn") {
+    cfg.arrival_rate_hz = 40.0;
+    cfg.prefill = 1000;
+    return cfg;
+  } else if (name == "prefill_over_horizon") {
+    cfg.arrival_rate_hz = 20.0;
+    cfg.mean_move_interval_s = 10.0;
+    cfg.horizon_events = 1500;
+  } else {  // zero_dwell
+    cfg.arrival_rate_hz = 40.0;
+    cfg.mean_dwell_s = 0.0;
+    cfg.mean_move_interval_s = 10.0;
+    cfg.prefill = 1000;
+    return cfg;
+  }
+  cfg.prefill = cfg.steady_state_target();
+  return cfg;
+}
+
+std::uint64_t timeline_hash(const ChurnTimeline& t) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::uint64_t h = 1469598103934665603ull;
+  for (const ChurnEvent& e : t.events) {
+    h = fnv1a_words(h, static_cast<std::uint64_t>(e.kind));
+    h = fnv1a_words(h, e.ue);
+    h = fnv1a_words(h, e.slot);
+    h = fnv1a_words(h, e.prev_slot);
+    h = fnv1a_words(h, bits(e.time_s));
+  }
+  const Scenario& s = t.universe;
+  for (const UserEquipment& e : s.ues()) {
+    const Scenario::LinkRow row = s.link_row(e.id);
+    h = fnv1a_words(h, row.bss.size());
+    for (std::size_t k = 0; k < row.bss.size(); ++k) {
+      const LinkStats& l = row.stats[k];
+      h = fnv1a_words(h, row.bss[k]);
+      h = fnv1a_words(h, bits(l.distance_m));
+      h = fnv1a_words(h, bits(l.sinr));
+      h = fnv1a_words(h, bits(l.rrb_rate_bps));
+      h = fnv1a_words(h, l.n_rrbs);
+      h = fnv1a_words(h, l.in_coverage ? 1 : 0);
+    }
+    const auto cands = s.candidates(e.id);
+    const auto prices = s.candidate_prices(e.id);
+    const auto rrbs = s.candidate_rrbs(e.id);
+    h = fnv1a_words(h, cands.size());
+    for (std::size_t k = 0; k < cands.size(); ++k) {
+      h = fnv1a_words(h, cands[k].value);
+      h = fnv1a_words(h, bits(prices[k]));
+      h = fnv1a_words(h, rrbs[k]);
+    }
+  }
+  return h;
+}
+
+// Generated from the timeline build that pushed every prefill arrival
+// through the event heap and grew the link store per UE.
+constexpr GoldenTimelineRow kGoldenTimeline[] = {
+    {"dense_batch", 1ull, 4000ull, 30581ull, 0x78f3c1e79cfcc256ull},
+    {"dense_batch", 2ull, 4000ull, 30434ull, 0xc19fdd272ce8d3c0ull},
+    {"serve_saturated", 1ull, 4000ull, 30581ull, 0x78f3c1e79cfcc256ull},
+    {"serve_saturated", 2ull, 4000ull, 30434ull, 0xc19fdd272ce8d3c0ull},
+    {"serve_mobile", 1ull, 3840ull, 29729ull, 0x75075d61c2f59e65ull},
+    {"serve_mobile", 2ull, 3845ull, 29540ull, 0x14270116b7545704ull},
+    {"static_churn", 1ull, 3135ull, 23973ull, 0x2bf1ea5cbe07432full},
+    {"static_churn", 2ull, 3118ull, 23693ull, 0x4c10560cf0f49db7ull},
+    {"prefill_over_horizon", 1ull, 1500ull, 11496ull, 0x106e83e2542cda0bull},
+    {"prefill_over_horizon", 2ull, 1500ull, 11418ull, 0xc6e4c04554aafd96ull},
+    {"zero_dwell", 1ull, 2000ull, 15383ull, 0x156ed915dc7cd052ull},
+    {"zero_dwell", 2ull, 2000ull, 15261ull, 0x37aa53c791c113b9ull},
+};
+
 // Sharded probe: run_sharded_dmra on two deployments per seed. The dense
 // one is the benchmark's (10x10 grid, 100 BSs in a 3000 m arena, about
 // 1500 UEs, 3 shards), where every shard runs several protocol rounds and
@@ -251,14 +367,6 @@ struct GoldenShardedRow {
   GoldenShardedCase dense;
   GoldenShardedCase paper;
 };
-
-std::uint64_t fnv1a_words(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 GoldenShardedCase run_sharded_probe(const Scenario& s, std::size_t shards) {
   const ShardedResult r = run_sharded_dmra(s, {}, ShardConfig{shards, 1});
@@ -497,6 +605,32 @@ TEST(GoldenRuntime, ServingByteIdenticalAcrossSeeds) {
     EXPECT_EQ(got.final_profit_bits, want.final_profit_bits);
   }
   if (regen) GTEST_SKIP() << "regen mode: rows printed to stdout";
+}
+
+TEST(GoldenRuntime, TimelineByteIdenticalAcrossWorkloads) {
+  if (std::getenv("DMRA_GOLDEN_REGEN") != nullptr) {
+    for (const char* name : {"dense_batch", "serve_saturated", "serve_mobile", "static_churn",
+                             "prefill_over_horizon", "zero_dwell"})
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        const ChurnTimeline t = build_churn_timeline(timeline_probe_config(name, seed));
+        std::printf("    {\"%s\", %lluull, %lluull, %lluull, 0x%llxull},\n", name,
+                    static_cast<unsigned long long>(seed),
+                    static_cast<unsigned long long>(t.universe.num_ues()),
+                    static_cast<unsigned long long>(t.universe.num_candidate_slots()),
+                    static_cast<unsigned long long>(timeline_hash(t)));
+      }
+    GTEST_SKIP() << "regen mode: rows printed to stdout";
+  }
+  ASSERT_EQ(std::size(kGoldenTimeline), 12u);
+  for (const GoldenTimelineRow& want : kGoldenTimeline) {
+    const ChurnConfig cfg = timeline_probe_config(want.name, want.seed);
+    const ChurnTimeline t = build_churn_timeline(cfg);
+    SCOPED_TRACE(std::string(want.name) + " seed " + std::to_string(want.seed));
+    EXPECT_EQ(t.events.size(), cfg.horizon_events);
+    EXPECT_EQ(t.universe.num_ues(), want.slots);
+    EXPECT_EQ(t.universe.num_candidate_slots(), want.candidate_slots);
+    EXPECT_EQ(timeline_hash(t), want.hash);
+  }
 }
 
 void expect_sharded_case(const GoldenShardedCase& got, const GoldenShardedCase& want) {

@@ -10,8 +10,13 @@ namespace dmra {
 
 void LiveCandidates::build(const Scenario& scenario, std::span<const UeId> ues) {
   scenario_ = &scenario;
-  len_.assign(scenario.num_ues(), 0);
-  slots_.resize(scenario.num_candidate_slots());
+  if (len_.size() == scenario.num_ues() && slots_.size() == scenario.num_candidate_slots()) {
+    for (const UeId u : built_) len_[u.idx()] = 0;
+  } else {
+    len_.assign(scenario.num_ues(), 0);
+    slots_.resize(scenario.num_candidate_slots());
+  }
+  built_.assign(ues.begin(), ues.end());
   for (const UeId u : ues) {
     const std::size_t base = scenario.candidate_offset(u);
     const std::size_t row = scenario.candidates(u).size();

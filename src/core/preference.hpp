@@ -66,10 +66,12 @@ inline double ue_preference_value(double price, double rho, std::uint32_t crus,
 /// candidate_rrbs(u)[slot] are one row's parallel SoA arrays.
 class LiveCandidates {
  public:
-  /// Size the pool to the scenario and reset the rows of `ues` to their
-  /// full candidate lists (slots 0..row-1, ascending BsId). Every other
-  /// UE's row is empty. Keeps a pointer to `scenario`, which must outlive
-  /// every later call.
+  /// Reset the rows of `ues` to their full candidate lists (slots
+  /// 0..row-1, ascending BsId). Every other UE's row is empty. The first
+  /// build sizes the pool to the scenario; a later build on a scenario of
+  /// the same shape keeps it and empties only the previous build's rows,
+  /// so it costs O(rows built), not O(scenario). Keeps a pointer to
+  /// `scenario`, which must outlive every later call.
   void build(const Scenario& scenario, std::span<const UeId> ues);
 
   std::span<const std::uint32_t> live(UeId u) const {
@@ -119,6 +121,7 @@ class LiveCandidates {
   const Scenario* scenario_ = nullptr;
   std::vector<std::uint32_t> slots_;  ///< rows of local slot indices, by candidate_offset
   std::vector<std::size_t> len_;      ///< per-UE live length
+  std::vector<UeId> built_;           ///< the UEs of the last build: the only rows not empty
 };
 
 /// One UE's move in the UE phase of Alg. 1: the BS it proposes to, or

@@ -1,6 +1,7 @@
 #include "core/solver.hpp"
 
 #include <span>
+#include <utility>
 
 #include "mec/audit.hpp"
 #include "mec/resources.hpp"
@@ -29,7 +30,7 @@ void sum_headroom(const Scenario& scenario, const ResourceState& state,
 
 DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config,
                               ResourceState& state, Allocation& allocation,
-                              std::span<const UeId> proposers) {
+                              std::span<const UeId> proposers, LiveCandidates* rows) {
   DMRA_REQUIRE(config.rho >= 0.0);
   DMRA_REQUIRE(allocation.num_ues() == scenario.num_ues());
   for (std::size_t k = 0; k < proposers.size(); ++k) {
@@ -40,7 +41,6 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
   }
 
   DmraResult result;
-  result.allocation = Allocation(0);  // filled at the end
 
   // Tracing: a single pointer test when disabled. traced_profit seeds from
   // the carried-over allocation so partial re-solves report the true
@@ -55,7 +55,8 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
   // Only proposers get a live row. `seeking` holds the proposers still in
   // the matching, ascending: a UE leaves it for good once a BS accepts it
   // or its B_u runs dry (remote cloud), so each round walks no one else.
-  LiveCandidates b_u;
+  LiveCandidates own_rows;
+  LiveCandidates& b_u = rows != nullptr ? *rows : own_rows;
   b_u.build(scenario, proposers);
   std::vector<UeId> seeking;
   seeking.assign(proposers.begin(), proposers.end());  // only ever shrinks
@@ -196,8 +197,6 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
     e.label = "core/solver";
     rec->record(e);
   }
-
-  result.allocation = allocation;
   return result;
 }
 
@@ -207,7 +206,9 @@ DmraResult solve_dmra(const Scenario& scenario, const DmraConfig& config) {
   std::vector<UeId> everyone(scenario.num_ues());
   for (std::size_t ui = 0; ui < everyone.size(); ++ui)
     everyone[ui] = UeId{static_cast<std::uint32_t>(ui)};
-  return solve_dmra_partial(scenario, config, state, allocation, everyone);
+  DmraResult result = solve_dmra_partial(scenario, config, state, allocation, everyone);
+  result.allocation = std::move(allocation);
+  return result;
 }
 
 }  // namespace dmra

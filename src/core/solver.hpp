@@ -35,12 +35,15 @@ class ResourceState;
 /// resource state; nobody else proposes. `proposers` must be strictly
 /// ascending UE ids of the scenario, each at the cloud in `allocation`.
 /// They are matched into whatever `state` has left, and on return `state`
-/// and `allocation` hold the new assignments. Each round walks only the
-/// proposers still seeking a BS. This is the building block of the
-/// fault-recovery repair and sharded reconcile passes (core/) and of the
-/// serving loop's periodic re-solve (sim/churn).
+/// and `allocation` hold the new assignments; the result's own allocation
+/// is left empty. Each round walks only the proposers still seeking a BS.
+/// `rows`, if given, holds the proposers' live candidate rows: a caller
+/// that solves on one scenario again and again keeps one across calls, so
+/// no call sizes a pool to the whole scenario. This is the building block
+/// of the fault-recovery repair and sharded reconcile passes (core/) and
+/// of the serving loop's periodic re-solve (sim/churn).
 DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config,
                               ResourceState& state, Allocation& allocation,
-                              std::span<const UeId> proposers);
+                              std::span<const UeId> proposers, LiveCandidates* rows = nullptr);
 
 }  // namespace dmra

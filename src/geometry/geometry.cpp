@@ -1,18 +1,8 @@
 #include "geometry/geometry.hpp"
 
-#include <cmath>
-
 #include "util/require.hpp"
 
 namespace dmra {
-
-double distance_sq(const Point& a, const Point& b) {
-  const double dx = a.x - b.x;
-  const double dy = a.y - b.y;
-  return dx * dx + dy * dy;
-}
-
-double distance_m(const Point& a, const Point& b) { return std::sqrt(distance_sq(a, b)); }
 
 bool Rect::contains(const Point& p) const {
   return p.x >= x0 && p.x <= x1 && p.y >= y0 && p.y <= y1;

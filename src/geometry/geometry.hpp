@@ -2,6 +2,7 @@
 // All coordinates and distances are in meters.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -17,11 +18,16 @@ struct Point {
   friend bool operator==(const Point&, const Point&) = default;
 };
 
-/// Euclidean distance in meters.
-double distance_m(const Point& a, const Point& b);
+/// Squared distance (avoids the sqrt in hot loops). Inline, so that every
+/// caller evaluates the one expression the same way.
+inline double distance_sq(const Point& a, const Point& b) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  return dx * dx + dy * dy;
+}
 
-/// Squared distance (avoids the sqrt in hot loops).
-double distance_sq(const Point& a, const Point& b);
+/// Euclidean distance in meters.
+inline double distance_m(const Point& a, const Point& b) { return std::sqrt(distance_sq(a, b)); }
 
 /// Axis-aligned rectangle [x0, x1] × [y0, y1], meters.
 struct Rect {

@@ -1,7 +1,6 @@
 #include "mec/scenario.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -53,6 +52,26 @@ class BsGrid {
     ids_.resize(bss.size());
     for (std::size_t i = 0; i < bss.size(); ++i)
       ids_[--cell_begin_[cell(i)]] = static_cast<std::uint32_t>(i);
+  }
+
+  /// The most BSs any 3×3 cell block holds, so a bound on every point's
+  /// for_each_near visits: a point off the box's edge visits a subset of
+  /// its edge cell's block. One pass over the cells, each column of a
+  /// block one run of cell_begin_.
+  std::size_t max_block() const {
+    std::size_t most = 0;
+    for (std::int64_t cx = 0; cx < nx_; ++cx)
+      for (std::int64_t cy = 0; cy < ny_; ++cy) {
+        const std::int64_t y0 = std::max<std::int64_t>(cy - 1, 0);
+        const std::int64_t y1 = std::min(cy + 1, ny_ - 1);
+        std::size_t n = 0;
+        for (std::int64_t x = std::max<std::int64_t>(cx - 1, 0); x <= std::min(cx + 1, nx_ - 1);
+             ++x)
+          n += cell_begin_[static_cast<std::size_t>(x * ny_ + y1 + 1)] -
+               cell_begin_[static_cast<std::size_t>(x * ny_ + y0)];
+        most = std::max(most, n);
+      }
+    return most;
   }
 
   /// Calls visit(bs) for each BS in the 3×3 cell block around `p`, in no
@@ -145,60 +164,80 @@ void Scenario::validate() const {
 
 void Scenario::build_links() {
   const std::size_t nu = num_ues();
-  cand_offsets_.assign(nu + 1, 0);
-  link_offsets_.assign(nu + 1, 0);
-  candidates_.clear();
-  cand_price_.clear();
-  cand_rrbs_.clear();
-  links_.clear();
-  link_cols_.clear();
+  const ChannelConfig& channel = data_.channel;
+  const double bandwidth_hz = data_.ofdma.rrb_bandwidth_hz;
+  // The link kernel: Eqs. 2–3 for one in-radius pair. The SINR
+  // denominator depends on the config alone, so it is computed once here.
+  const double denominator_mw = noise_plus_interference_mw(channel, bandwidth_hz);
+  const auto link_of = [&](const UserEquipment& u, const BaseStation& b, double d) {
+    LinkStats l;
+    l.distance_m = d;
+    l.sinr = sinr_from_loss(channel, link_loss_db(channel, d, u.id.value, b.id.value),
+                            denominator_mw);
+    l.rrb_rate_bps = rrb_rate_bps(bandwidth_hz, l.sinr);
+    l.in_coverage = l.rrb_rate_bps > 0.0;
+    if (l.in_coverage) l.n_rrbs = rrbs_needed(u.rate_demand_bps, l.rrb_rate_bps);
+    return l;
+  };
+  // Candidate rule: coverage + service hosted + radio demand individually
+  // satisfiable + enough capacity for the demand.
+  const auto is_candidate = [](const UserEquipment& u, const BaseStation& b,
+                               const LinkStats& l) {
+    return l.in_coverage && b.hosts(u.service) && l.n_rrbs <= b.num_rrbs &&
+           u.cru_demand <= b.cru_capacity[u.service.idx()];
+  };
 
   // Per UE, examine only the BSs in its 3×3 cell block: O(U·k̄) link
   // computations and memory instead of O(U·B). Every in-radius pair gets
   // a row entry, in BS order; one the radio cannot serve at all (zero
-  // rate) is stored out of coverage. Candidate rule: coverage + service
-  // hosted + radio demand individually satisfiable + enough capacity for
-  // the demand.
+  // rate) is stored out of coverage. No row is longer than the fullest
+  // block, so the link arrays are reserved once at that bound; pages past
+  // the last entry written are never touched.
   const BsGrid grid(data_.bss, data_.coverage_radius_m);
-  std::vector<std::pair<std::uint32_t, double>> in_radius;  // (BS, distance)
-  in_radius.reserve(data_.bss.size());
-  // Link rows grow once per UE, not once per entry, to the power-of-two
-  // capacities push_back would reach (other sizes raise the peak RSS).
-  const auto make_room = [&in_radius](auto& row) {
-    if (row.size() + in_radius.size() > row.capacity())
-      row.reserve(std::bit_ceil(row.size() + in_radius.size()));
-  };
+  const std::size_t row_bound = grid.max_block();
+  link_offsets_.assign(nu + 1, 0);
+  cand_offsets_.assign(nu + 1, 0);
+  links_.reserve(nu * row_bound);
+  link_cols_.reserve(nu * row_bound);
+  std::vector<std::pair<std::uint32_t, double>> in_radius(row_bound);  // (BS, distance)
+  std::size_t num_candidates = 0;
   for (std::size_t ui = 0; ui < nu; ++ui) {
     const UserEquipment& u = data_.ues[ui];
-    in_radius.clear();
+    std::size_t n = 0;
     grid.for_each_near(u.position, [&](std::uint32_t bi) {
       const double d = distance_m(u.position, data_.bss[bi].position);
-      if (d <= data_.coverage_radius_m) in_radius.emplace_back(bi, d);
+      in_radius[n] = {bi, d};
+      n += d <= data_.coverage_radius_m ? 1 : 0;
     });
-    std::sort(in_radius.begin(), in_radius.end());
-    make_room(links_);
-    make_room(link_cols_);
-    for (const auto& [bi, d] : in_radius) {
+    std::sort(in_radius.begin(), in_radius.begin() + static_cast<std::ptrdiff_t>(n));
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto [bi, d] = in_radius[k];
       const BaseStation& b = data_.bss[bi];
-      LinkStats l;
-      l.distance_m = d;
-      l.sinr = sinr(data_.channel, l.distance_m, data_.ofdma.rrb_bandwidth_hz, u.id.value,
-                    b.id.value);
-      l.rrb_rate_bps = rrb_rate_bps(data_.ofdma.rrb_bandwidth_hz, l.sinr);
-      l.in_coverage = l.rrb_rate_bps > 0.0;
-      if (l.in_coverage) l.n_rrbs = rrbs_needed(u.rate_demand_bps, l.rrb_rate_bps);
+      const LinkStats l = link_of(u, b, d);
       links_.push_back(l);
       link_cols_.push_back(bi);
-      if (l.in_coverage && b.hosts(u.service) && l.n_rrbs <= b.num_rrbs &&
-          u.cru_demand <= b.cru_capacity[u.service.idx()]) {
-        candidates_.push_back(BsId{bi});
-        cand_price_.push_back(b.price_multiplier *
-                              cru_price(data_.pricing, l.distance_m, u.sp == b.sp));
-        cand_rrbs_.push_back(l.n_rrbs);
-      }
+      num_candidates += is_candidate(u, b, l) ? 1 : 0;
     }
     link_offsets_[ui + 1] = links_.size();
-    cand_offsets_[ui + 1] = candidates_.size();
+    cand_offsets_[ui + 1] = num_candidates;
+  }
+
+  // The candidate rows, allocated at their exact size and filled from the
+  // link rows: the preference passes read these three arrays in parallel.
+  candidates_.reserve(num_candidates);
+  cand_price_.reserve(num_candidates);
+  cand_rrbs_.reserve(num_candidates);
+  for (std::size_t ui = 0; ui < nu; ++ui) {
+    const UserEquipment& u = data_.ues[ui];
+    for (std::size_t k = link_offsets_[ui]; k < link_offsets_[ui + 1]; ++k) {
+      const BaseStation& b = data_.bss[link_cols_[k]];
+      const LinkStats& l = links_[k];
+      if (!is_candidate(u, b, l)) continue;
+      candidates_.push_back(b.id);
+      cand_price_.push_back(b.price_multiplier *
+                            cru_price(data_.pricing, l.distance_m, u.sp == b.sp));
+      cand_rrbs_.push_back(l.n_rrbs);
+    }
   }
 }
 

@@ -35,17 +35,16 @@ double model_loss_db(const ChannelConfig& cfg, double distance_m) {
   return pathloss_db(cfg.pathloss_model, distance_m, params);
 }
 
-double sinr_from_loss(const ChannelConfig& cfg, double loss_db, double rrb_bandwidth_hz) {
+}  // namespace
+
+double noise_plus_interference_mw(const ChannelConfig& cfg, double rrb_bandwidth_hz) {
   DMRA_REQUIRE(rrb_bandwidth_hz > 0.0);
-  const double signal_mw = dbm_to_mw(cfg.tx_power_dbm - loss_db);
   const double noise_mw = cfg.noise_model == NoiseModel::kPsd
                               ? dbm_to_mw(cfg.noise_dbm) * rrb_bandwidth_hz
                               : dbm_to_mw(cfg.noise_dbm);
   const double interference_mw = cfg.interference_psd_mw_hz * rrb_bandwidth_hz;
-  return signal_mw / (noise_mw + interference_mw);
+  return noise_mw + interference_mw;
 }
-
-}  // namespace
 
 double link_loss_db(const ChannelConfig& cfg, double distance_m, std::uint32_t ue_key,
                     std::uint32_t bs_key) {
@@ -57,13 +56,14 @@ double received_power_mw(const ChannelConfig& cfg, double distance_m) {
 }
 
 double sinr(const ChannelConfig& cfg, double distance_m, double rrb_bandwidth_hz) {
-  return sinr_from_loss(cfg, model_loss_db(cfg, distance_m), rrb_bandwidth_hz);
+  return sinr_from_loss(cfg, model_loss_db(cfg, distance_m),
+                        noise_plus_interference_mw(cfg, rrb_bandwidth_hz));
 }
 
 double sinr(const ChannelConfig& cfg, double distance_m, double rrb_bandwidth_hz,
             std::uint32_t ue_key, std::uint32_t bs_key) {
   return sinr_from_loss(cfg, link_loss_db(cfg, distance_m, ue_key, bs_key),
-                        rrb_bandwidth_hz);
+                        noise_plus_interference_mw(cfg, rrb_bandwidth_hz));
 }
 
 double sinr(const ChannelConfig& cfg, const Point& ue, const Point& bs,

@@ -11,6 +11,7 @@
 
 #include "geometry/geometry.hpp"
 #include "radio/pathloss.hpp"
+#include "radio/units.hpp"
 
 namespace dmra {
 
@@ -68,6 +69,19 @@ double link_loss_db(const ChannelConfig& cfg, double distance_m, std::uint32_t u
 /// Received power in mW at the BS from a UE at `distance_m` meters
 /// (path loss only; no shadowing).
 double received_power_mw(const ChannelConfig& cfg, double distance_m);
+
+/// The SINR denominator in mW: the noise in one RRB of `rrb_bandwidth_hz`
+/// (per noise_model) plus the interference term. It depends on the config
+/// alone, so a loop over links computes it once.
+double noise_plus_interference_mw(const ChannelConfig& cfg, double rrb_bandwidth_hz);
+
+/// Per-RRB SINR (linear) of a link whose total loss is `loss_db`
+/// (link_loss_db), over a denominator from noise_plus_interference_mw.
+/// sinr() computes both per call and divides the same way.
+inline double sinr_from_loss(const ChannelConfig& cfg, double loss_db,
+                             double noise_plus_interference_mw) {
+  return dbm_to_mw(cfg.tx_power_dbm - loss_db) / noise_plus_interference_mw;
+}
 
 /// Per-RRB SINR (linear) for a UE at `distance_m` meters, with the RRB
 /// bandwidth `rrb_bandwidth_hz` deciding how much noise is integrated.

@@ -265,6 +265,66 @@ TEST(ScenarioLinkBuild, SparseMatchesDenseAcrossRandomConfigs) {
   expect_matches_reference(generate_scenario(dense, 1), "dense");
 }
 
+/// `s`'s inputs, to rebuild it with changes.
+ScenarioData data_of(const Scenario& s) {
+  ScenarioData d;
+  d.num_services = s.num_services();
+  d.sps.assign(s.sps().begin(), s.sps().end());
+  d.bss.assign(s.bss().begin(), s.bss().end());
+  d.ues.assign(s.ues().begin(), s.ues().end());
+  d.channel = s.channel();
+  d.ofdma = s.ofdma();
+  d.pricing = s.pricing();
+  d.coverage_radius_m = s.coverage_radius_m();
+  return d;
+}
+
+TEST(ScenarioLinkBuild, KernelMatchesTheRadioModelOnEveryChannel) {
+  // The build computes the SINR denominator once and every other term per
+  // link; the reference calls sinr() per pair. Each channel knob that
+  // feeds either part, then the same UEs and BSs repriced per BS with one
+  // BS left without RRBs (never a candidate).
+  for (int variant = 0; variant < 7; ++variant) {
+    ScenarioConfig cfg;
+    cfg.num_ues = 400;
+    ChannelConfig& ch = cfg.channel;
+    std::string label;
+    switch (variant) {
+      case 0: ch.pathloss_model = PathlossModel::kFreeSpace; label = "free-space"; break;
+      case 1: ch.pathloss_model = PathlossModel::kLteMacro; label = "lte-macro"; break;
+      case 2: ch.pathloss_model = PathlossModel::kTwoRay; label = "two-ray"; break;
+      case 3:
+        ch.shadowing_sigma_db = 8.0;
+        ch.shadowing_seed = 11;
+        label = "shadowing";
+        break;
+      case 4: ch.noise_model = NoiseModel::kPsd; label = "psd-noise"; break;
+      case 5: cfg.interference_activity_factor = 0.5; label = "interference"; break;
+      default:
+        ch.pathloss_model = PathlossModel::kLteMacro;
+        ch.shadowing_sigma_db = 6.0;
+        ch.shadowing_seed = 3;
+        ch.noise_model = NoiseModel::kPsd;
+        cfg.interference_activity_factor = 0.3;
+        label = "combined";
+    }
+    const Scenario s = generate_scenario(cfg, static_cast<std::uint64_t>(variant) + 40);
+    if (variant == 5) {
+      ASSERT_GT(s.channel().interference_psd_mw_hz, 0.0);
+    }
+    expect_matches_reference(s, label);
+
+    ScenarioData d = data_of(s);
+    for (std::size_t i = 0; i < d.bss.size(); ++i)
+      d.bss[i].price_multiplier = 0.5 + 0.1 * static_cast<double>(i % 5);
+    d.bss[0].num_rrbs = 0;
+    const Scenario repriced(std::move(d));
+    expect_matches_reference(repriced, label + " repriced");
+    for (const UserEquipment& e : repriced.ues())
+      ASSERT_EQ(repriced.candidate_slot(e.id, BsId{0}), Scenario::kNotCandidate) << label;
+  }
+}
+
 /// Every candidate slot against the link store, bit for bit: the serving
 /// path reads n(u,i), the price and the pair profit from the slot and
 /// never searches the link store, so the two must not differ in one ulp.

@@ -210,6 +210,29 @@ TEST(ChooseProposal, ReturnsNulloptWhenExhausted) {
   EXPECT_TRUE(b_u.empty(UeId{0}));
 }
 
+TEST(LiveCandidates, RebuildEmptiesThePreviousRowsAndRefillsTheNew) {
+  // A rebuild on a pool already sized for the scenario keeps the pool and
+  // empties only the previous build's rows, so every UE left out of the
+  // new build reads an empty row, shrunk or not.
+  ScenarioConfig cfg;
+  cfg.num_ues = 40;
+  const Scenario s = generate_scenario(cfg, 4);
+  LiveCandidates lc;
+  const std::vector<UeId> first{UeId{0}, UeId{1}, UeId{2}};
+  lc.build(s, first);
+  ASSERT_FALSE(lc.empty(UeId{0}));
+  ASSERT_FALSE(lc.empty(UeId{1}));
+  lc.erase_at(UeId{1}, 0);
+  const std::vector<UeId> second{UeId{1}, UeId{3}};
+  lc.build(s, second);
+  for (std::uint32_t ui = 0; ui < s.num_ues(); ++ui) {
+    const UeId u{ui};
+    const bool built = ui == 1 || ui == 3;
+    ASSERT_EQ(lc.live(u).size(), built ? s.candidates(u).size() : 0u) << "ue " << ui;
+    for (std::size_t k = 0; k < lc.live(u).size(); ++k) EXPECT_EQ(lc.live(u)[k], k);
+  }
+}
+
 // ---- propose_soa against the two-pass loop it replaced ----------------------
 
 /// The UE step before propose_soa, kept here as the reference: propose to

@@ -20,6 +20,9 @@
 // run_churn replay (over capacity, waypoint moves, one crash/recover,
 // short readmit period), pinning the event-log bytes and the readmission
 // outcome, so a rework of the serving loop is held to the same bar.
+// SaturatedServingByteIdentical does the same at the density where the
+// readmit sweep costs: serve_saturated's load on the dense deployment,
+// with and without a crash and recovery.
 //
 // ShardedByteIdenticalAcrossSeeds does the same for run_sharded_dmra:
 // two deployments per seed, pinning the allocation, profit bits, traffic
@@ -55,6 +58,7 @@
 #include "net/bus.hpp"
 #include "core/solver.hpp"
 #include "mec/allocation.hpp"
+#include "mec/audit.hpp"
 #include "obs/recorder.hpp"
 #include "sim/churn.hpp"
 #include "sim/faults.hpp"
@@ -237,6 +241,49 @@ constexpr GoldenServingRow kGoldenServing[kSeeds] = {
     {8ull, 0xf47dc31b908ec9c6ull, 110ull, 37ull, 247ull, 0x40afc0a5d3a6822full},
     {9ull, 0x5d88ffdcaa91adf9ull, 106ull, 38ull, 235ull, 0x40af7c22424c9ac6ull},
     {10ull, 0xc32150c0d2a74365ull, 119ull, 35ull, 201ull, 0x40afac94e56cecc1ull},
+};
+
+/// Saturated serving probe: serve_saturated's load (rate 60, dwell 100,
+/// prefill at steady state, a sweep every 64 events) on the benchmark's
+/// dense deployment (10x10 grid, 100 BSs, 3000 m), over a shorter horizon
+/// with a re-solve every 2000 events. About 2200 UEs wait at the cloud,
+/// so every sweep after the prefill retries a long waiting set to place a
+/// few. The faulted arm crashes one BS 1000 events after the prefill and
+/// recovers it 1000 events later.
+ChurnConfig saturated_probe_config(std::uint64_t seed, bool faulted) {
+  ChurnConfig cfg;
+  cfg.deployment.bss_per_sp = 20;
+  cfg.deployment.area_side_m = 3000.0;
+  cfg.arrival_rate_hz = 60.0;
+  cfg.mean_dwell_s = 100.0;
+  cfg.prefill = cfg.steady_state_target();  // counts toward the horizon
+  cfg.horizon_events = cfg.prefill + 2500;
+  cfg.readmit_every = 64;
+  cfg.resolve_every = 2000;
+  cfg.seed = seed;
+  if (faulted) {
+    FaultSpec faults;
+    faults.crashes = 1;
+    faults.crash_round = cfg.prefill + 1000;  // event index on the serving timeline
+    faults.down_rounds = 1000;
+    faults.seed = seed;
+    cfg.faults = faults;
+  }
+  return cfg;
+}
+
+struct GoldenSaturatedRow {
+  bool faulted;
+  GoldenServingRow pinned;
+};
+
+// Generated from the serving loop whose readmit sweep walked every waiting
+// slot.
+constexpr GoldenSaturatedRow kGoldenSaturated[] = {
+    {false, {1ull, 0xb169c3e556e0d5fdull, 520ull, 0ull, 2178ull, 0x40e4e06ecdb12212ull}},
+    {false, {2ull, 0xaad209abb438b3d2ull, 507ull, 0ull, 2215ull, 0x40e52117383b4593ull}},
+    {true, {1ull, 0x56f744fb05f14ab2ull, 545ull, 35ull, 2182ull, 0x40e4ceb79d943898ull}},
+    {true, {2ull, 0x40063ca280e805bull, 535ull, 37ull, 2219ull, 0x40e51460d6f1d77eull}},
 };
 
 // Timeline probe: build_churn_timeline alone on the benchmark's dense
@@ -603,6 +650,49 @@ TEST(GoldenRuntime, ServingByteIdenticalAcrossSeeds) {
     EXPECT_EQ(got.orphaned, want.orphaned);
     EXPECT_EQ(got.final_cloud, want.final_cloud);
     EXPECT_EQ(got.final_profit_bits, want.final_profit_bits);
+  }
+  if (regen) GTEST_SKIP() << "regen mode: rows printed to stdout";
+}
+
+TEST(GoldenRuntime, SaturatedServingByteIdentical) {
+  const bool regen = std::getenv("DMRA_GOLDEN_REGEN") != nullptr;
+  // The per-event audit recounts the whole universe: at this size it costs
+  // about 6 ms an event under the sanitizers, 220 s for these rows. This
+  // test pins bytes; CI's serve-smoke job serves a saturated deployment
+  // under the auditor. (observer() honours DMRA_AUDIT first, so the env
+  // auditor cannot install itself under the mute.)
+  audit::observer();
+  audit::ScopedAuditObserver mute_audit(nullptr);
+  for (const GoldenSaturatedRow& want : kGoldenSaturated) {
+    const std::uint64_t seed = want.pinned.seed;
+    const ChurnResult r = run_churn(saturated_probe_config(seed, want.faulted));
+    const GoldenServingRow got{seed,
+                               fnv1a(r.event_log),
+                               r.stats.readmitted,
+                               r.stats.orphaned_ues,
+                               r.stats.final_cloud,
+                               std::bit_cast<std::uint64_t>(r.stats.final_profit)};
+    SCOPED_TRACE("seed " + std::to_string(seed) + (want.faulted ? ", faulted" : ""));
+    // The probe must exercise what it pins: a saturated deployment with a
+    // long waiting set, sweep readmissions and, when faulted, orphans.
+    EXPECT_GT(got.final_cloud, 1000u);
+    EXPECT_GT(got.readmitted, 0u);
+    EXPECT_EQ(got.orphaned > 0, want.faulted);
+    if (regen) {
+      std::printf("    {%s, {%lluull, 0x%llxull, %lluull, %lluull, %lluull, 0x%llxull}},\n",
+                  want.faulted ? "true" : "false", static_cast<unsigned long long>(got.seed),
+                  static_cast<unsigned long long>(got.log_hash),
+                  static_cast<unsigned long long>(got.readmitted),
+                  static_cast<unsigned long long>(got.orphaned),
+                  static_cast<unsigned long long>(got.final_cloud),
+                  static_cast<unsigned long long>(got.final_profit_bits));
+      continue;
+    }
+    EXPECT_EQ(got.log_hash, want.pinned.log_hash);
+    EXPECT_EQ(got.readmitted, want.pinned.readmitted);
+    EXPECT_EQ(got.orphaned, want.pinned.orphaned);
+    EXPECT_EQ(got.final_cloud, want.pinned.final_cloud);
+    EXPECT_EQ(got.final_profit_bits, want.pinned.final_profit_bits);
   }
   if (regen) GTEST_SKIP() << "regen mode: rows printed to stdout";
 }

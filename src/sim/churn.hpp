@@ -90,9 +90,10 @@ struct ChurnConfig {
   /// over the active population and record the live-vs-scratch profit
   /// gap. 0 disables the baseline.
   std::size_t resolve_every = 0;
-  /// Every this-many events, retry placement for every active
-  /// cloud-forwarded UE with candidates (capacity may have freed).
-  /// 0 disables the sweep.
+  /// Every this-many events, retry placement for the active
+  /// cloud-forwarded UEs with candidates that capacity freed since the
+  /// last sweep can now carry (IncrementalAllocator::readmit_waiting:
+  /// the same placements as retrying all of them). 0 disables the sweep.
   std::size_t readmit_every = 64;
   /// Crash orphans get one re-placement attempt each, drained this many
   /// per event (the recovery backlog; docs/SERVING.md).

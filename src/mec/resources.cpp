@@ -19,12 +19,6 @@ ResourceState::ResourceState(const Scenario& scenario) : scenario_(&scenario) {
   }
 }
 
-bool ResourceState::fits(const UserEquipment& e, BsId i, std::uint32_t n_rrbs) const {
-  // An out-of-coverage link has n(u,i) = 0.
-  return n_rrbs != 0 && remaining_crus(i, e.service) >= e.cru_demand &&
-         remaining_rrbs(i) >= n_rrbs;
-}
-
 bool ResourceState::can_serve(UeId u, BsId i) const {
   // A pair that is not a candidate reads n = 0 and never fits.
   return fits(scenario_->ue(u), i, scenario_->candidate_rrbs(u, i));
